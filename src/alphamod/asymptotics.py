@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .covering import Covering, CoveringSpec, Partition, ball_geometry, build_partition
+from .covering import CoveringSpec, Partition, ball_geometry, build_partition, covering_for
 from .errors import DomainError, GeometryError, ParameterError, TruncationError
 from .grids import (
     GridFunction,
@@ -130,8 +130,8 @@ def matched_fine_index(k: int, a: float, b: float) -> int:
     """Fine-covering index whose scale matches window k of the coarse covering."""
     target = (1.0 + k * k) ** ((1.0 - a) / (1.0 - b))
     l0 = int(round(math.sqrt(max(target - 1.0, 0.0))))
-    cov_b = Covering(CoveringSpec(alpha=b, n=1))
-    cov_a = Covering(CoveringSpec(alpha=a, n=1)) if a != b else cov_b
+    cov_b = covering_for(CoveringSpec(alpha=b, n=1))
+    cov_a = covering_for(CoveringSpec(alpha=a, n=1))
     frac = 0.85 * cov_a.plateau_fraction(32)
     plateau = cov_b.plateau_interval(k)
     best, best_err = l0, math.inf
@@ -166,8 +166,8 @@ def plan_grid(source: SpaceParams, target: SpaceParams, k: int, *,
     None if the budget cannot accommodate them."""
     a1, a2 = float(source.alpha), float(target.alpha)
     a, b = min(a1, a2), max(a1, a2)
-    cov_b = Covering(CoveringSpec(alpha=b, n=1))
-    cov_a = Covering(CoveringSpec(alpha=a, n=1)) if a != b else cov_b
+    cov_b = covering_for(CoveringSpec(alpha=b, n=1))
+    cov_a = covering_for(CoveringSpec(alpha=a, n=1))
     # the next coarse window must also be usable, or the safe window stops
     # short of the anchor's own support
     reach = cov_b.support_outer_radius(k + 2) * 1.02 + 2.0
@@ -213,8 +213,8 @@ def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams, *,
 
     a1, a2 = float(source.alpha), float(target.alpha)
     a, b = min(a1, a2), max(a1, a2)
-    cov_b = Covering(CoveringSpec(alpha=b, n=1))
-    cov_a = Covering(CoveringSpec(alpha=a, n=1)) if a != b else cov_b
+    cov_b = covering_for(CoveringSpec(alpha=b, n=1))
+    cov_a = covering_for(CoveringSpec(alpha=a, n=1))
     if a == b:
         members = [k]
     else:
@@ -432,6 +432,8 @@ def growth_rate_check(source: SpaceParams, target: SpaceParams, j_range, *,
         raise ParameterError("rate sweeps are defined for a shared q")
     if float(target.rp) > float(source.rp):
         raise ParameterError("rate sweeps require 1/p2 <= 1/p1")
+    if max(float(source.alpha), float(target.alpha)) >= 1.0:
+        raise ParameterError("rate sweeps cover alpha < 1")
     js = sorted(j_range)
     if js[-1] - js[0] < 3:
         raise ParameterError("octave range must span at least 4 octaves")

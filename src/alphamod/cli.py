@@ -229,7 +229,7 @@ def _run_covering(config: RunConfig) -> dict:
     out["members"] = partition_rows(part)
     if part.covering is not None:
         out["constants"] = {"c_big": part.covering.r0, "delta": part.covering.delta,
-                            "c_small": part.covering.spec.c_small}
+                            "c_small": part.spec.c_small}
     return out
 
 

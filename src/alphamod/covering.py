@@ -75,19 +75,30 @@ def warp_radius(rho, alpha: float):
 
 
 def warp_radius_inv(y: float, alpha: float) -> float:
-    """Invert warp_radius by bisection; y >= 0, alpha in [0, 1)."""
+    """Invert warp_radius by bisection; y >= 0, alpha in [0, 1).
+
+    Bisects on plain floats (scalar pow rounds as warp_radius does on a
+    0-d array) and stops once a step leaves the bracket unchanged: every
+    later step would repeat it, so the result equals that of all 200 steps.
+    """
     if y < 0:
         raise DomainError("radius must be nonnegative")
     if y == 0.0:
         return 0.0
     if alpha == 0.0:
         return float(y)
+    y = float(y)
+    expo = -float(alpha) / 2.0
     lo, hi = 0.0, max(y, y ** (1.0 / (1.0 - alpha))) * 2.0 + 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if warp_radius(mid, alpha) < y:
+        if mid * (1.0 + mid * mid) ** expo < y:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     return 0.5 * (lo + hi)
 
@@ -100,6 +111,10 @@ def ball_geometry(k: Index, alpha: float):
     if not (0 <= alpha < 1):
         raise ParameterError(
             "ball geometry applies to alpha in [0, 1); use dyadic addressing at alpha = 1")
+    if isinstance(k, (int, np.integer)):
+        kf = float(k)
+        scale = float((1.0 + kf * kf) ** (alpha / (2.0 * (1.0 - alpha))))
+        return scale * kf, scale
     kv = np.asarray(k, dtype=float)
     ksq = float(np.sum(kv * kv))
     scale = (1.0 + ksq) ** (alpha / (2.0 * (1.0 - alpha)))
@@ -157,6 +172,9 @@ class Covering:
                 f"{self.delta} vs minimal lattice gap {gap:.4f} (alpha={self.alpha})")
         if not spec.c_small < self.r0:
             raise CoveringError("c_small must stay below the support radius c_big")
+        # memo of plateau_fraction by probe; it only ever holds the value
+        # the method computes, so threads sharing the covering may race on it
+        self._plateau_fractions = {}
 
     # -- lattice geometry -------------------------------------------------
 
@@ -165,6 +183,8 @@ class Covering:
 
     def lattice_image(self, k: Index):
         center, _ = ball_geometry(k, self.alpha)
+        if self.n == 1:
+            return center * (1.0 + center * center) ** (-self.alpha / 2.0)
         return warp(np.asarray(center, dtype=float), self.alpha, self.n)
 
     def _min_lattice_gap(self, probe: int = 512) -> float:
@@ -242,11 +262,15 @@ class Covering:
 
     def plateau_fraction(self, k_probe: int = 128) -> float:
         """min_k inscribed plateau radius / scale, over |k| <= k_probe."""
+        frac = self._plateau_fractions.get(k_probe)
+        if frac is not None:
+            return frac
         frac = math.inf
         for k in range(0, k_probe + 1):
             kk = k if self.n == 1 else (k,) + (0,) * (self.n - 1)
             _, scale = ball_geometry(kk, self.alpha)
             frac = min(frac, self.inscribed_plateau_radius(kk) / scale)
+        self._plateau_fractions[k_probe] = frac
         return frac
 
     def window_values(self, k: Index, xi):
@@ -286,6 +310,23 @@ class Covering:
 
 def _signed_unwarp(y: float, alpha: float) -> float:
     return math.copysign(warp_radius_inv(abs(y), alpha), y)
+
+
+_COVERING_CACHE_LIMIT = 48
+_covering_cache: dict = {}
+
+
+def covering_for(spec: CoveringSpec) -> Covering:
+    """The resolved covering of spec, shared by every caller passing an
+    equal spec.  Coverings hold no state that changes their results, so
+    one instance serves all threads."""
+    cov = _covering_cache.get(spec)
+    if cov is None:
+        cov = Covering(spec)
+        if len(_covering_cache) >= _COVERING_CACHE_LIMIT:
+            _covering_cache.clear()
+        _covering_cache[spec] = cov
+    return cov
 
 
 # -- index sets ------------------------------------------------------------
@@ -370,7 +411,7 @@ def neighbor_set(relation: str, anchor: Index, alphas, spec=None) -> IndexSet:
             raise ParameterError(f"{relation} takes a single alpha")
         alpha = float(alphas)
         base = spec if isinstance(spec, CoveringSpec) else CoveringSpec(alpha=alpha, n=_dim_of(anchor))
-        cov = Covering(base)
+        cov = covering_for(base)
         if cov.n == 1:
             lam = _lambda_members_1d(cov, int(anchor))
             if relation == "Lambda":
@@ -399,7 +440,7 @@ def neighbor_set(relation: str, anchor: Index, alphas, spec=None) -> IndexSet:
         raise ParameterError("cross-covering index sets are implemented for n = 1")
     spec1 = CoveringSpec(alpha=a1, n=1)
     spec2 = spec if isinstance(spec, CoveringSpec) else CoveringSpec(alpha=a2, n=1)
-    cov1, cov2 = Covering(spec1), Covering(spec2)
+    cov1, cov2 = covering_for(spec1), covering_for(spec2)
     if relation == "Gamma":
         target = cov2.support_interval(int(anchor))
         members = _scan_gamma_1d(cov1, target, lambda s: _interval_overlap(s, target))
@@ -546,11 +587,11 @@ def build_partition(spec: CoveringSpec, N: int, L: float) -> Partition:
         raise ParameterError("period L must be positive")
     if spec.alpha == 1:
         return _build_dyadic(spec, N, L)
-    cov = Covering(spec)
+    cov = covering_for(spec)
     f_nyq = N / (2.0 * L)
     if cov.n == 1:
-        return _build_alpha_1d(cov, N, L, f_nyq)
-    return _build_alpha_2d(cov, N, L, f_nyq)
+        return _build_alpha_1d(cov, spec, N, L, f_nyq)
+    return _build_alpha_2d(cov, spec, N, L, f_nyq)
 
 
 def _usable_range_1d(cov: Covering, f_nyq: float):
@@ -560,10 +601,11 @@ def _usable_range_1d(cov: Covering, f_nyq: float):
     return k
 
 
-def _build_alpha_1d(cov: Covering, N: int, L: float, f_nyq: float) -> Partition:
+def _build_alpha_1d(cov: Covering, spec: CoveringSpec, N: int, L: float,
+                    f_nyq: float) -> Partition:
     k_fit = _usable_range_1d(cov, f_nyq)
-    if cov.spec.k_max is not None:
-        k_fit = min(k_fit, cov.spec.k_max)
+    if spec.k_max is not None:
+        k_fit = min(k_fit, spec.k_max)
     if k_fit < 1:
         raise GeometryError("grid too small to hold any window beyond the origin")
     xi = freq_axis(N, L)
@@ -594,6 +636,10 @@ def _build_alpha_1d(cov: Covering, N: int, L: float, f_nyq: float) -> Partition:
             raise CoveringError("window sum dipped below floor: constants too small")
     members = []
     for k in range(-k_fit, k_fit + 1):
+        if k not in cache:
+            raise GeometryError(
+                f"window {k} holds no grid bin: frequency spacing {1.0 / L:g} "
+                f"is too coarse for alpha = {cov.alpha:g}")
         idx, vals = cache[k]
         center, scale = ball_geometry(k, cov.alpha)
         lo, hi = cov.support_interval(k)
@@ -605,17 +651,18 @@ def _build_alpha_1d(cov: Covering, N: int, L: float, f_nyq: float) -> Partition:
     safe_radius = cov.support_interval(k_fit + 1)[0]
     return Partition(kind="alpha", alpha=cov.alpha, n=1, N=N, L=L,
                      safe_radius=min(safe_radius, f_nyq), members=members,
-                     covering=cov, spec=cov.spec)
+                     covering=cov, spec=spec)
 
 
-def _build_alpha_2d(cov: Covering, N: int, L: float, f_nyq: float) -> Partition:
+def _build_alpha_2d(cov: Covering, spec: CoveringSpec, N: int, L: float,
+                    f_nyq: float) -> Partition:
     xi = freq_grid(2, N, L).reshape(-1, 2)
     y = warp(xi, cov.alpha, 2)
     k_reach = 1
     while cov.support_outer_radius((k_reach + 1, 0)) < f_nyq:
         k_reach += 1
-    if cov.spec.k_max is not None:
-        k_reach = min(k_reach, cov.spec.k_max)
+    if spec.k_max is not None:
+        k_reach = min(k_reach, spec.k_max)
     total = np.zeros(N * N)
     cache = {}
     shells = range(-k_reach - 2, k_reach + 3)
@@ -657,7 +704,7 @@ def _build_alpha_2d(cov: Covering, N: int, L: float, f_nyq: float) -> Partition:
     safe_radius = warp_radius_inv(edge, cov.alpha) if edge < math.inf else f_nyq
     return Partition(kind="alpha", alpha=cov.alpha, n=2, N=N, L=L,
                      safe_radius=min(safe_radius, f_nyq), members=members,
-                     covering=cov, spec=cov.spec)
+                     covering=cov, spec=spec)
 
 
 def dyadic_symbol(j: int, rho: np.ndarray) -> np.ndarray:

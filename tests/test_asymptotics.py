@@ -136,6 +136,19 @@ class TestGrowthRateCheck:
             growth_rate_check(sp(1, 0.5, 0, 0), sp(1, 1.0, 0, 0.5), range(4, 9))
         with pytest.raises(ParameterError):
             growth_rate_check(sp(1, 0.5, 0, 0), sp(1, 0.5, 0, 0.5), range(4, 6))
+        with pytest.raises(ParameterError):
+            growth_rate_check(sp(1, 0, 0, 0), sp(0, 0, 0, 1), range(4, 9))
+
+    def test_repeat_after_cache_clear_is_identical(self):
+        # shared coverings and memoised plateau fractions carry no state
+        # into a second sweep beyond the values a cold sweep computes
+        import alphamod.asymptotics as asymptotics
+
+        src, tgt = sp(1, 0, 0, 0), sp(0, 0, 0, 0.5)
+        first = growth_rate_check(src, tgt, range(4, 8), seed=3)
+        asymptotics._partition_cache.clear()
+        second = growth_rate_check(src, tgt, range(4, 8), seed=3)
+        assert second == first
 
 
 class TestBruteForce:

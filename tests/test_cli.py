@@ -195,6 +195,20 @@ class TestExitCodes:
         assert status == EXIT_INTERNAL
         assert "internal check" in err
 
+    def test_rate_sweep_rejects_dyadic_target(self, capsys):
+        status, _, err = invoke(["verify-asymptotics",
+                                 "--source", "p=1,q=inf,s=0,alpha=0",
+                                 "--target", "p=inf,q=inf,s=0,alpha=1",
+                                 "--j-range", "4:8"], capsys)
+        assert status == EXIT_PRECONDITION
+        assert "alpha < 1" in err
+
+    def test_window_between_grid_bins(self, capsys):
+        # bin spacing 2 leaves unit-lattice windows of radius 0.75 empty
+        status, _, err = invoke(["covering", "--alpha", "0", "--grid", "64,0.5"], capsys)
+        assert status == EXIT_INTERNAL
+        assert "holds no grid bin" in err
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):

@@ -10,6 +10,7 @@ from alphamod.covering import (
     Covering,
     ball_geometry,
     build_partition,
+    covering_for,
     dump_partition_samples,
     freq_axis,
     load_partition_samples,
@@ -60,6 +61,107 @@ class TestWarp:
 
     def test_odd_symmetry(self):
         assert warp(-3.0, 0.5) == pytest.approx(-warp(3.0, 0.5))
+
+
+def _reference_warp_radius_inv(y, alpha):
+    """Fixed 200-step bisection through the numpy warp_radius."""
+    lo, hi = 0.0, max(y, y ** (1.0 / (1.0 - alpha))) * 2.0 + 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if warp_radius(mid, alpha) < y:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestBitIdentity:
+    """The scalar fast paths must reproduce the numpy computations exactly."""
+
+    ALPHAS = [0.1, 1 / 4, 1 / 3, 1 / 2, 3 / 4, 0.9]
+
+    def test_warp_inverse_matches_fixed_bisection(self):
+        rng = np.random.default_rng(20161)
+        ys = 10.0 ** rng.uniform(-3.0, 4.0, size=400)
+        for alpha in self.ALPHAS:
+            for y in ys:
+                assert warp_radius_inv(y, alpha) == _reference_warp_radius_inv(y, alpha)
+                assert warp_radius_inv(float(y), alpha) == _reference_warp_radius_inv(y, alpha)
+
+    def test_scalar_ball_geometry_matches_numpy(self):
+        for alpha in [0.0] + self.ALPHAS:
+            for k in range(-300, 301):
+                kv = np.asarray(k, dtype=float)
+                scale = (1.0 + float(np.sum(kv * kv))) ** (alpha / (2.0 * (1.0 - alpha)))
+                center, got_scale = ball_geometry(k, alpha)
+                assert got_scale == float(scale)
+                assert center == float(scale * kv)
+                assert ball_geometry(np.int64(k), alpha) == (center, got_scale)
+
+
+class TestSharedCovering:
+    def test_one_instance_per_spec(self):
+        spec = CoveringSpec(alpha=0.25, n=1)
+        assert covering_for(spec) is covering_for(spec)
+        assert covering_for(spec) is covering_for(CoveringSpec(alpha=0.25, n=1))
+        assert covering_for(spec) is not covering_for(CoveringSpec(alpha=0.5, n=1))
+
+    def test_memoised_plateau_fraction_matches_fresh(self):
+        for alpha in [0.0, 0.25, 0.5, 0.75]:
+            spec = CoveringSpec(alpha=alpha, n=1)
+            shared = covering_for(spec)
+            for probe in (32, 128):
+                first = shared.plateau_fraction(probe)
+                assert shared.plateau_fraction(probe) == first
+                assert first == Covering(spec).plateau_fraction(probe)
+
+    def test_cache_stays_bounded(self):
+        from alphamod import covering
+
+        for i in range(covering._COVERING_CACHE_LIMIT + 12):
+            covering_for(CoveringSpec(alpha=0.25, n=1, c_small=0.1 + 0.005 * i))
+            assert len(covering._covering_cache) <= covering._COVERING_CACHE_LIMIT
+
+    def test_threads_share_coverings_safely(self):
+        import sys
+        import threading
+
+        from alphamod import covering
+
+        specs = [CoveringSpec(alpha=a, n=1) for a in (0.1, 0.25, 0.5, 0.75)]
+        expected = {spec: Covering(spec).plateau_fraction(32) for spec in specs}
+        covering._covering_cache.clear()
+        seen, errors = [], []
+
+        def work():
+            try:
+                for _ in range(20):
+                    for spec in specs:
+                        cov = covering_for(spec)
+                        seen.append(cov.alpha == spec.alpha
+                                    and cov.plateau_fraction(32) == expected[spec])
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(seen) == 6 * 20 * len(specs) and all(seen)
+
+    def test_partition_keeps_callers_spec(self):
+        spec = CoveringSpec(alpha=0.5, n=1)
+        part = build_partition(spec, N=2 ** 10, L=4.0)
+        assert part.spec is spec
+        assert part.covering is covering_for(spec)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75])
