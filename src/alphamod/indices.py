@@ -143,26 +143,61 @@ def _validate_index_args(n, rps, rqs, alphas):
             raise ParameterError(f"alpha must lie in [0, 1], got {a!r}")
 
 
-def growth_index(n: int, rp1: Scalar, rp2: Scalar, rq: Scalar,
-            alpha1: Scalar, alpha2: Scalar) -> IndexBreakdown:
-    """Growth index of the localized operator norms, common-q form."""
-    _validate_index_args(n, (rp1, rp2), (rq,), (alpha1, alpha2))
-    exact = is_exact(rp1, rp2, rq, alpha1, alpha2)
+def _common_scale(*values):
+    """Common denominator D of exact values and the integers D * value.
+
+    Affine and quadratic formulas evaluated on these integers with the
+    constant 1 written as D give D resp. D**2 times the rational result,
+    at a fraction of the cost of Fraction arithmetic.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    denom = math.lcm(*[d for _, d in ratios])
+    return denom, [num * (denom // d) for num, d in ratios]
+
+
+def _unscale(value, denom: int) -> Scalar:
+    return value if denom == 1 else Fraction(value, denom)
+
+
+def _branch_index(n, rp1, rp2, rq1, rq2, alpha1, alpha2) -> IndexBreakdown:
+    """Common-q index with q = q1 when alpha1 <= alpha2 and q = q2 otherwise."""
+    given = (rp1, rp2, rq1, rq2, alpha1, alpha2)
+    exact = is_exact(*given)
+    if not exact:
+        _validate_index_args(n, (rp1, rp2), (rq1, rq2), (alpha1, alpha2))
+        one = 1
+    else:
+        one, (rp1, rp2, rq1, rq2, alpha1, alpha2) = _common_scale(*given)
+        if not (isinstance(n, int) and n >= 1 and min(rp1, rp2, rq1, rq2) >= 0
+                and 0 <= alpha1 <= one and 0 <= alpha2 <= one):
+            # out of range: raise with the caller's values in the message
+            _validate_index_args(n, given[:2], given[2:4], given[4:])
+    # with one = D every term below is D**2 times its rational value
     p_gap = rp1 - rp2
     n_da = n * (alpha2 - alpha1)
-    term2 = n * alpha2 * (1 - rp2) - n * alpha1 * (1 - rp1) - n_da * rq
     if alpha1 <= alpha2:
-        branch = BRANCH_LE
+        branch, rq = BRANCH_LE, rq1
         term1 = n * alpha1 * p_gap
         term3 = n_da * (rp2 - rq) + term1
     else:
-        branch = BRANCH_GT
+        branch, rq = BRANCH_GT, rq2
         term1 = n * alpha2 * p_gap
         term3 = -n_da * (rq - rp1) + term1
+    term2 = n * alpha2 * (one - rp2) - n * alpha1 * (one - rp1) - n_da * rq
     terms = (term1, term2, term3)
     value = max(terms)
     argmax = frozenset(i + 1 for i, t in enumerate(terms) if _eq(t, value, exact))
+    denom = one * one
+    if denom != 1:
+        terms = tuple(Fraction(t, denom) for t in terms)
+        value = terms[min(argmax) - 1]
     return IndexBreakdown(branch=branch, terms=terms, value=value, argmax=argmax)
+
+
+def growth_index(n: int, rp1: Scalar, rp2: Scalar, rq: Scalar,
+            alpha1: Scalar, alpha2: Scalar) -> IndexBreakdown:
+    """Growth index of the localized operator norms, common-q form."""
+    return _branch_index(n, rp1, rp2, rq, rq, alpha1, alpha2)
 
 
 def embedding_index(n: int, rp1: Scalar, rp2: Scalar, rq1: Scalar, rq2: Scalar,
@@ -173,13 +208,7 @@ def embedding_index(n: int, rp1: Scalar, rp2: Scalar, rq1: Scalar, rq2: Scalar,
     matters: q1 when alpha1 <= alpha2, q2 when alpha1 > alpha2.  At
     alpha1 = alpha2 the two choices agree term by term.
     """
-    if alpha1 <= alpha2:
-        rq, rq_other = rq1, rq2
-    else:
-        rq, rq_other = rq2, rq1
-    if rq_other < 0:
-        raise ParameterError("reciprocal summation exponents must be nonnegative")
-    return growth_index(n, rp1, rp2, rq, alpha1, alpha2)
+    return _branch_index(n, rp1, rp2, rq1, rq2, alpha1, alpha2)
 
 
 @dataclass(frozen=True)
@@ -213,31 +242,34 @@ def embedding_decide(source: SpaceParams, target: SpaceParams) -> EmbeddingVerdi
     exact = source.exact() and target.exact()
     bd = embedding_index(n, source.rp, target.rp, source.rq, target.rq,
                  source.alpha, target.alpha)
-    R = bd.value
+    values = (source.rp, target.rp, source.rq, target.rq, source.s, target.s,
+              source.alpha, target.alpha, bd.value)
+    one, values = _common_scale(*values) if exact else (1, values)
+    rp1, rp2, rq1, rq2, s1, s2, a1, a2, R = values
 
-    q_up = _gt(target.rq, source.rq, exact)
+    q_up = _gt(rq2, rq1, exact)
     q_case = Q_UP if q_up else Q_DOWN
-    amax = max(source.alpha, target.alpha)
+    amax = max(a1, a2)
     if q_up:
         # the correction vanishes identically at amax = 1
-        correction = 0 if _eq(amax, 1, exact) else n * (1 - amax) * (target.rq - source.rq)
+        correction = 0 if _eq(amax, one, exact) else n * (one - amax) * (rq2 - rq1)
     else:
         correction = 0
-    margin = source.s - target.s - R - correction
+    # scaled by one**2, like the correction
+    margin = (s1 - s2 - R) * one - correction
+    verdict = dict(q_case=q_case, index_value=bd.value,
+                   margin=_unscale(margin, one * one), strict_required=q_up,
+                   breakdown=bd)
 
-    if _gt(target.rp, source.rp, exact):
-        return EmbeddingVerdict(embeds=False, q_case=q_case, index_value=R,
-                                margin=margin, strict_required=q_up,
-                                reason="p-order violated", breakdown=bd)
+    if _gt(rp2, rp1, exact):
+        return EmbeddingVerdict(embeds=False, reason="p-order violated", **verdict)
 
     if q_up:
         embeds = _gt(margin, 0, exact)
     else:
         embeds = _ge(margin, 0, exact)
     reason = "binding " + ",".join(bd.binding_labels()) + f" (branch {bd.branch})"
-    return EmbeddingVerdict(embeds=embeds, q_case=q_case, index_value=R,
-                            margin=margin, strict_required=q_up,
-                            reason=reason, breakdown=bd)
+    return EmbeddingVerdict(embeds=embeds, reason=reason, **verdict)
 
 
 def shared_exponent_decide(source: SpaceParams, target: SpaceParams) -> EmbeddingVerdict:
@@ -245,15 +277,20 @@ def shared_exponent_decide(source: SpaceParams, target: SpaceParams) -> Embeddin
     if source.n != target.n:
         raise ParameterError(f"dimension mismatch: {source.n} vs {target.n}")
     exact = source.exact() and target.exact()
-    if not (_eq(source.rp, target.rp, exact) and _eq(source.rq, target.rq, exact)):
+    values = (source.rp, target.rp, source.rq, target.rq, source.s, target.s,
+              source.alpha, target.alpha)
+    one, values = _common_scale(*values) if exact else (1, values)
+    rp, rp2, rq, rq2, s1, s2, a1, a2 = values
+    if not (_eq(rp, rp2, exact) and _eq(rq, rq2, exact)):
         raise ParameterError("oracle requires matching p and q on both sides")
     n = source.n
-    rp, rq = source.rp, source.rq
-    da = target.alpha - source.alpha
-    threshold = max(0 * da, n * da * (rp - rq), n * da * (1 - rp - rq))
-    margin = source.s - target.s - threshold
+    da = a2 - a1
+    # threshold and margin are scaled by one**2
+    threshold = max(0 * da, n * da * (rp - rq), n * da * (one - rp - rq))
+    margin = (s1 - s2) * one - threshold
     return EmbeddingVerdict(embeds=_ge(margin, 0, exact), q_case=Q_DOWN,
-                            index_value=threshold, margin=margin,
+                            index_value=_unscale(threshold, one * one),
+                            margin=_unscale(margin, one * one),
                             strict_required=False,
                             reason="shared-exponent threshold")
 
