@@ -20,16 +20,21 @@ from typing import Optional
 
 import numpy as np
 
-from .covering import CoveringSpec, Partition, ball_geometry, build_partition, covering_for
+from .covering import (CoveringSpec, Partition, ball_geometry, build_partition,
+                       covering_for, window_base)
 from .errors import DomainError, GeometryError, ParameterError, TruncationError
 from .grids import (
     GridFunction,
     box_apply,
+    bump_train,
     from_spectrum,
     lp_quasinorm,
     random_band_limited,
-    sequence_norm,
+    sample_lp,
+    smoothness_weights,
     space_norm,
+    spread_positions,
+    weighted_lq,
     witness_bump,
 )
 from .indices import SpaceParams, embedding_decide, growth_index, seq_multiplier_norm_closed
@@ -209,7 +214,7 @@ def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams, *,
     to the plateau width.  Covering windows are sampled pointwise at the
     shifted frequencies.
     """
-    from .covering import bump_profile, neighbor_set
+    from .covering import neighbor_set
 
     a1, a2 = float(source.alpha), float(target.alpha)
     a, b = min(a1, a2), max(a1, a2)
@@ -240,54 +245,33 @@ def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams, *,
         if N > budget:
             return None
         xi = np.fft.fftfreq(N, d=L / N) + c_ref
-        positions = (np.arange(count) - (count - 1) / 2.0) * pitch
-        spectra = []
-        for l, x0 in zip(members, positions):
-            c_l, t_l = geo[l]
-            u = np.abs(xi - c_l) / t_l
-            w_hat = bump_profile(u, 0.25 * frac, frac).astype(complex)
-            w_hat *= np.exp(-2j * np.pi * xi * x0)
-            spectra.append(w_hat)
-        return N, L, xi, spectra
+        positions = spread_positions(count, pitch)
+        return N, L, xi, bump_train(xi, [geo[l] for l in members], positions, frac)
 
     def measure(built) -> float:
-        N, L, xi, spectra = built
+        N, L, xi, total = built
         scale = (N / L)
-        total = np.sum(spectra, axis=0)
-        eta_k = cov_b.normalized_window(k, xi)
-        boxed = total * eta_k
+        coarse = (k - 1, k, k + 1)
+        eta_b = dict(zip(coarse, cov_b.normalized_windows(coarse, xi)))
+        boxed = total * eta_b[k]
 
         def norm_p(spec_flat, rp):
-            vals = np.fft.ifft(spec_flat) * scale
-            mag = np.abs(vals)
-            if float(rp) == 0.0:
-                return float(mag.max())
-            p = 1.0 / float(rp)
-            return float((np.sum(mag ** p) * (L / N)) ** float(rp))
+            return sample_lp(np.abs(np.fft.ifft(spec_flat) * scale), float(rp), L / N)
 
         def fine_pieces(spec_flat, rp):
-            pieces = {}
-            lo, hi = members[0] - 2, members[-1] + 2
-            for l in range(lo, hi + 1):
-                eta_l = cov_a.normalized_window(l, xi)
-                pieces[l] = norm_p(spec_flat * eta_l, rp)
-            return pieces
+            ls = range(members[0] - 2, members[-1] + 3)
+            return [norm_p(spec_flat * eta_l, rp)
+                    for eta_l in cov_a.normalized_windows(ls, xi)]
 
         def coarse_pieces(spec_flat, rp):
-            pieces = {}
-            for m in (k - 1, k, k + 1):
-                eta_m = cov_b.normalized_window(m, xi)
-                pieces[m] = norm_p(spec_flat * eta_m, rp)
-            return pieces
-
-        from .grids import weighted_lq
+            return [norm_p(spec_flat * eta_b[m], rp) for m in coarse]
 
         if a1 <= a2:
-            num = weighted_lq(coarse_pieces(boxed, target.rp), 0.0, target.rq, b)
-            den = weighted_lq(fine_pieces(total, source.rp), 0.0, source.rq, a)
+            num = weighted_lq(coarse_pieces(boxed, target.rp), target.rq)
+            den = weighted_lq(fine_pieces(total, source.rp), source.rq)
         else:
-            num = weighted_lq(fine_pieces(boxed, target.rp), 0.0, target.rq, a)
-            den = weighted_lq(coarse_pieces(total, source.rp), 0.0, source.rq, b)
+            num = weighted_lq(fine_pieces(boxed, target.rp), target.rq)
+            den = weighted_lq(coarse_pieces(total, source.rp), source.rq)
         if den == 0.0:
             raise GeometryError("spread witness has vanishing source norm")
         return num / den
@@ -515,22 +499,19 @@ def seq_multiplier_norm_bruteforce(a: dict, s1, s2, rq1, rq2, alpha,
     keys = sorted(a.keys(), key=str)
     avals = np.array([abs(a[k]) for k in keys], dtype=float)
     s1f, s2f, rq1f, rq2f, af = map(float, (s1, s2, rq1, rq2, alpha))
-
-    def seq(vals) -> dict:
-        return {k: v for k, v in zip(keys, vals)}
+    bases = [window_base(k, af) for k in keys]
+    w1 = smoothness_weights(bases, s1f, af)
+    w2 = smoothness_weights(bases, s2f, af)
 
     def ratio(lam_vals) -> float:
         lam_vals = np.abs(np.asarray(lam_vals, dtype=float))
         if not lam_vals.any():
             return 0.0
-        den = sequence_norm(seq(lam_vals), s1f, rq1f, af)
+        den = weighted_lq(lam_vals, rq1f, w1)
         if den == 0.0:
             return 0.0
-        num = sequence_norm(seq(avals * lam_vals), s2f, rq2f, af)
-        return num / den
+        return weighted_lq(avals * lam_vals, rq2f, w2) / den
 
-    w1 = np.array([_seq_weight(k, s1f, af) for k in keys])
-    w2 = np.array([_seq_weight(k, s2f, af) for k in keys])
     b = np.where(w1 > 0, avals * w2 / w1, 0.0)
 
     best = 0.0
@@ -551,13 +532,6 @@ def seq_multiplier_norm_bruteforce(a: dict, s1, s2, rq1, rq2, alpha,
             lam *= rng.random(len(keys)) < 0.5
         best = max(best, ratio(lam))
     return best
-
-
-def _seq_weight(index, s: float, alpha: float) -> float:
-    if alpha == 1.0:
-        return 2.0 ** (index * s)
-    ksq = float(np.sum(np.square(np.atleast_1d(np.asarray(index, dtype=float)))))
-    return (1.0 + ksq) ** (s / (2.0 * (1.0 - alpha)))
 
 
 # -- embedding consistency -----------------------------------------------------
@@ -582,6 +556,8 @@ def embedding_consistency_check(source: SpaceParams, target: SpaceParams,
     b = max(a1, a2)
     if b >= 1.0:
         raise ParameterError("consistency sweeps cover alpha < 1")
+    if truncation < 4:
+        raise ParameterError(f"truncation must be at least 4, got {truncation}")
     verdict = embedding_decide(source, target)
     margin = float(verdict.margin)
     lower = {}
@@ -600,6 +576,9 @@ def embedding_consistency_check(source: SpaceParams, target: SpaceParams,
         samples = box_opnorm_lower(k, source, target, grid, budget=budget)
         lower[k] = max(s.lower_bound for s in samples)
     k_avail = max(lower)
+    if k_avail < 4:
+        raise GeometryError(
+            f"the grid budget holds windows up to k = {k_avail}; the fit needs k = 4")
     truncations = sorted({max(2, k_avail // 8), max(3, k_avail // 4),
                           max(4, k_avail // 2), k_avail})
     norms = []
@@ -673,7 +652,7 @@ def dilation_necessity_check(rp1, rp2, n: int = 1, *, N: int = 2 ** 9,
     as lam -> 0, so a positive 1/p2 - 1/p1 makes the ratio blow up,
     witnessing the necessity of the exponent ordering.
     """
-    from .covering import bump_profile, freq_grid
+    from .covering import bump_profile, freq_radius
 
     rp1f, rp2f = float(rp1), float(rp2)
     base_radius = 0.5
@@ -687,9 +666,7 @@ def dilation_necessity_check(rp1, rp2, n: int = 1, *, N: int = 2 ** 9,
         lams.append(lam)
     if len(lams) < 3:
         raise GeometryError("period too small for the dilation sweep")
-    xi = freq_grid(n, N, L)
-    rho = np.abs(xi) if n == 1 else np.linalg.norm(xi, axis=-1)
-    rho = rho.reshape(-1)
+    rho = freq_radius(n, N, L)
     logs = []
     for lam in lams:
         spec = bump_profile(rho / (base_radius * lam), 0.5, 1.0).astype(complex)

@@ -13,9 +13,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .covering import (
@@ -40,6 +40,7 @@ from .grids import (
 )
 from .indices import (
     SpaceParams,
+    _reciprocal,
     as_scalar,
     embedding_decide,
     embedding_index,
@@ -76,25 +77,12 @@ def parse_space(text: str, n: int = 1) -> SpaceParams:
     if "rp" in fields:
         kwargs["rp"] = as_scalar(fields["rp"])
     else:
-        kwargs["rp"] = _reciprocal_text(fields.get("p", "2"))
+        kwargs["rp"] = _reciprocal(fields.get("p", "2"))
     if "rq" in fields:
         kwargs["rq"] = as_scalar(fields["rq"])
     else:
-        kwargs["rq"] = _reciprocal_text(fields.get("q", "2"))
+        kwargs["rq"] = _reciprocal(fields.get("q", "2"))
     return SpaceParams(s=sval, alpha=alpha, n=dim, **kwargs)
-
-
-def _reciprocal_text(text: str):
-    value = as_scalar(text)
-    if value == float("inf"):
-        return 0
-    if isinstance(value, (int, Fraction)):
-        if value <= 0:
-            raise ParameterError(f"exponent must be positive, got {text!r}")
-        return Fraction(1, 1) / value
-    if value <= 0:
-        raise ParameterError(f"exponent must be positive, got {text!r}")
-    return 1.0 / value
 
 
 def parse_grid(text: str):
@@ -103,6 +91,10 @@ def parse_grid(text: str):
         raise ParameterError("grid must be 'N,L'")
     N = int(parts[0])
     L = float(parts[1])
+    if N <= 0 or N & (N - 1):
+        raise ParameterError(f"grid size N must be a power of two, got {N}")
+    if not (math.isfinite(L) and L > 0):
+        raise ParameterError(f"grid period L must be positive and finite, got {parts[1]!r}")
     return N, L
 
 
@@ -206,6 +198,8 @@ def _run_decide(config: RunConfig) -> dict:
 def _run_index(config: RunConfig) -> dict:
     _require_spaces(config)
     src, tgt = config.source, config.target
+    if src.n != tgt.n:
+        raise ParameterError(f"dimension mismatch: {src.n} vs {tgt.n}")
     bd = embedding_index(src.n, src.rp, tgt.rp, src.rq, tgt.rq, src.alpha, tgt.alpha)
     out = _breakdown_dict(bd)
     rq = src.rq if src.alpha <= tgt.alpha else tgt.rq
@@ -397,6 +391,8 @@ def config_from_args(args) -> RunConfig:
         if len(parts) != 2:
             raise ParameterError("--alpha-constants wants 'c,C'")
         cfg.c_small, cfg.c_big = float(parts[0]), float(parts[1])
+        if not all(math.isfinite(c) and c > 0 for c in (cfg.c_small, cfg.c_big)):
+            raise ParameterError("covering constants must be positive and finite")
     if getattr(args, "source", None):
         cfg.source = parse_space(args.source, cfg.n)
     if getattr(args, "target", None):

@@ -16,7 +16,6 @@ supported in |xi| < 3/2, differenced across octaves).
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass, field
@@ -178,9 +177,6 @@ class Covering:
 
     # -- lattice geometry -------------------------------------------------
 
-    def center_scale(self, k: Index):
-        return ball_geometry(k, self.alpha)
-
     def lattice_image(self, k: Index):
         center, _ = ball_geometry(k, self.alpha)
         if self.n == 1:
@@ -286,6 +282,15 @@ class Covering:
     def normalized_window(self, k: int, xi: np.ndarray) -> np.ndarray:
         """eta_k^alpha at arbitrary frequencies (n = 1): the window profile
         divided by the full lattice sum of profiles reaching those points."""
+        return next(self.normalized_windows((k,), xi))
+
+    def normalized_windows(self, ks, xi: np.ndarray):
+        """Yield eta_k^alpha at xi for each k in ks (n = 1).
+
+        The lattice sum of profiles is formed once for all of ks; each
+        window's profile is evaluated again when it is yielded, so memory
+        stays at a few rows of len(xi) however many windows are asked for.
+        """
         if self.n != 1:
             raise ParameterError("pointwise window evaluation is one-dimensional")
         xi = np.asarray(xi, dtype=float)
@@ -293,19 +298,15 @@ class Covering:
         l_lo = int(math.floor(float(y.min()) - self.r0)) - 1
         l_hi = int(math.ceil(float(y.max()) + self.r0)) + 1
         total = np.zeros_like(y)
-        target = None
         for l in range(l_lo, l_hi + 1):
-            vals = bump_profile(np.abs(y - float(self.lattice_image(l))),
-                                self.delta, self.r0)
-            total += vals
-            if l == k:
-                target = vals
-        if target is None:
-            target = bump_profile(np.abs(y - float(self.lattice_image(k))),
-                                  self.delta, self.r0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(total > 0, target / np.maximum(total, 1e-300), 0.0)
-        return out
+            total += self._profile_at(l, y)
+        floor = np.maximum(total, 1e-300)
+        for k in ks:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                yield np.where(total > 0, self._profile_at(k, y) / floor, 0.0)
+
+    def _profile_at(self, k: int, y: np.ndarray) -> np.ndarray:
+        return bump_profile(np.abs(y - float(self.lattice_image(k))), self.delta, self.r0)
 
 
 def _signed_unwarp(y: float, alpha: float) -> float:
@@ -412,22 +413,12 @@ def neighbor_set(relation: str, anchor: Index, alphas, spec=None) -> IndexSet:
         alpha = float(alphas)
         base = spec if isinstance(spec, CoveringSpec) else CoveringSpec(alpha=alpha, n=_dim_of(anchor))
         cov = covering_for(base)
-        if cov.n == 1:
-            lam = _lambda_members_1d(cov, int(anchor))
-            if relation == "Lambda":
-                members = lam
-            else:
-                members = set()
-                for m in lam:
-                    members |= _lambda_members_1d(cov, m)
+        lambda_of = _lambda_members_1d if cov.n == 1 else _lambda_members_nd
+        lam = lambda_of(cov, int(anchor) if cov.n == 1 else tuple(anchor))
+        if relation == "Lambda":
+            members = lam
         else:
-            lam = _lambda_members_nd(cov, tuple(anchor))
-            if relation == "Lambda":
-                members = lam
-            else:
-                members = set()
-                for m in lam:
-                    members |= _lambda_members_nd(cov, m)
+            members = set().union(*(lambda_of(cov, m) for m in lam))
         _check_truncation(members, base.k_max)
         return IndexSet(relation=relation, anchor=anchor, members=frozenset(members),
                         alphas=(alpha,))
@@ -512,8 +503,8 @@ class PartitionMember:
 
     def __post_init__(self):
         # members are shared read-only between threads after construction
-        self.idx = np.asarray(self.idx)
-        self.values = np.asarray(self.values)
+        self.idx = np.asarray(self.idx, dtype=np.intp)
+        self.values = np.asarray(self.values, dtype=float)
         self.idx.setflags(write=False)
         self.values.setflags(write=False)
 
@@ -537,9 +528,26 @@ class Partition:
     covering: Optional[Covering] = None
     spec: Optional[CoveringSpec] = None
     _by_index: dict = field(default_factory=dict, repr=False)
+    # the members' bins and samples back to back; window i owns
+    # idx[offsets[i]:offsets[i + 1]], and its member holds views of them
+    idx: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
+    # per window: the base of its smoothness weight (see window_base)
+    bases: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self._by_index = {m.index: i for i, m in enumerate(self.members)}
+        sizes = [m.idx.size for m in self.members]
+        self.offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+        self.idx = np.concatenate([m.idx for m in self.members] or [np.zeros(0, np.intp)])
+        self.values = np.concatenate([m.values for m in self.members] or [np.zeros(0)])
+        self.idx.setflags(write=False)
+        self.values.setflags(write=False)
+        for m, lo, hi in zip(self.members, self.offsets[:-1], self.offsets[1:]):
+            m.idx = self.idx[lo:hi]
+            m.values = self.values[lo:hi]
+        self.bases = np.array([window_base(m.index, self.alpha) for m in self.members])
 
     def member(self, index: Index) -> PartitionMember:
         try:
@@ -553,11 +561,19 @@ class Partition:
     def indices(self):
         return [m.index for m in self.members]
 
-    def sum_map(self) -> np.ndarray:
-        total = np.zeros(self.N ** self.n)
-        for m in self.members:
-            total[m.idx] += m.values
-        return total
+
+def window_base(index: Index, alpha: float) -> float:
+    """Base b of the smoothness weight of a window or sequence index.
+
+    The weight is b^{s/(2(1-alpha))} with b = 1 + |k|^2 = <k>^2 for alpha < 1,
+    and 2^{js} with b = j for the dyadic octave j at alpha = 1.
+    """
+    if alpha == 1.0:
+        if not isinstance(index, int) or index < 0:
+            raise ParameterError(f"dyadic indices are octaves j >= 0, got {index!r}")
+        return float(index)
+    ks = index if isinstance(index, tuple) else (index,)
+    return 1.0 + sum(float(c) * float(c) for c in ks)
 
 
 def freq_axis(N: int, L: float) -> np.ndarray:
@@ -571,6 +587,12 @@ def freq_grid(n: int, N: int, L: float):
         return ax
     gx, gy = np.meshgrid(ax, ax, indexing="ij")
     return np.stack([gx, gy], axis=-1)
+
+
+def freq_radius(n: int, N: int, L: float) -> np.ndarray:
+    """|xi| per flat fft-layout bin."""
+    xi = freq_grid(n, N, L)
+    return (np.abs(xi) if n == 1 else np.linalg.norm(xi, axis=-1)).reshape(-1)
 
 
 def build_partition(spec: CoveringSpec, N: int, L: float) -> Partition:
@@ -724,9 +746,7 @@ def _build_dyadic(spec: CoveringSpec, N: int, L: float) -> Partition:
         j_max = min(j_max, spec.k_max)
     if j_max < 1:
         raise GeometryError("grid too small for a dyadic decomposition")
-    xi = freq_grid(spec.n, N, L)
-    rho = np.abs(xi) if spec.n == 1 else np.linalg.norm(xi, axis=-1)
-    rho = rho.reshape(-1)
+    rho = freq_radius(spec.n, N, L)
     members = []
     for j in range(0, j_max + 1):
         vals = dyadic_symbol(j, rho)
@@ -770,9 +790,7 @@ class PartitionReport:
 def verify_partition(partition: Partition) -> PartitionReport:
     """Numerical health report: sum-to-one, overlap, support, derivative scaling."""
     xi = freq_grid(partition.n, partition.N, partition.L)
-    rho = np.abs(xi) if partition.n == 1 else np.linalg.norm(xi, axis=-1)
-    rho = rho.reshape(-1)
-    safe = rho < partition.safe_radius
+    safe = freq_radius(partition.n, partition.N, partition.L) < partition.safe_radius
     size = partition.N ** partition.n
     total = np.zeros(size)
     overlap = np.zeros(size, dtype=int)
@@ -832,31 +850,6 @@ def partition_rows(partition: Partition):
                      "scale": f"{m.scale:.12g}",
                      "support_radius": f"{m.support_radius:.12g}"})
     return rows
-
-
-def partition_to_csv(partition: Partition, path: str):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["index", "center", "scale", "support_radius"])
-        writer.writeheader()
-        for row in partition_rows(partition):
-            writer.writerow(row)
-
-
-def partition_to_json(partition: Partition, path: str):
-    payload = {
-        "kind": partition.kind,
-        "alpha": partition.alpha,
-        "n": partition.n,
-        "N": partition.N,
-        "L": partition.L,
-        "safe_radius": partition.safe_radius,
-        "members": partition_rows(partition),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def dump_partition_samples(partition: Partition, path: str):

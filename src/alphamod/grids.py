@@ -23,7 +23,9 @@ from .covering import (
     bump_profile,
     ball_geometry,
     freq_grid,
+    freq_radius,
     neighbor_set,
+    window_base,
 )
 from .errors import GeometryError, ParameterError, TruncationError
 from .indices import SpaceParams
@@ -121,27 +123,30 @@ def box_apply(f: GridFunction, member: PartitionMember) -> GridFunction:
 def band_mass_fraction_outside(f: GridFunction, radius: float) -> float:
     """Fraction of spectral energy outside |xi| <= radius."""
     spec = spectrum(f)
-    xi = freq_grid(f.n, f.N, f.L)
-    rho = np.abs(xi).reshape(-1) if f.n == 1 else np.linalg.norm(xi, axis=-1).reshape(-1)
+    rho = freq_radius(f.n, f.N, f.L)
     total = float(np.sum(np.abs(spec) ** 2))
     if total == 0.0:
         return 0.0
     return float(np.sum(np.abs(spec[rho > radius]) ** 2)) / total
 
 
-def lp_quasinorm(f: GridFunction, rp) -> float:
-    """(integral |f|^p)^{1/p} by Riemann sum; rp = 0 is the sup norm.
+def sample_lp(mag: np.ndarray, rp: float, cell_volume: float) -> float:
+    """(sum mag^p * cell_volume)^{1/p}, the Riemann-sum L^p norm of sampled
+    magnitudes with 1/p = rp; rp = 0 is the sup norm.
 
     The same power-sum formula serves the quasi-norm range p < 1.
     """
+    if rp == 0.0:
+        return float(mag.max())
+    return float((np.sum(mag ** (1.0 / rp)) * cell_volume) ** rp)
+
+
+def lp_quasinorm(f: GridFunction, rp) -> float:
+    """(integral |f|^p)^{1/p} by Riemann sum; rp = 0 is the sup norm."""
     rp = float(rp)
     if rp < 0:
         raise ParameterError("reciprocal exponent must be nonnegative")
-    mag = np.abs(f.values)
-    if rp == 0.0:
-        return float(mag.max())
-    p = 1.0 / rp
-    return float((np.sum(mag ** p) * f.cell ** f.n) ** rp)
+    return sample_lp(np.abs(f.values), rp, f.cell ** f.n)
 
 
 @dataclass
@@ -162,26 +167,34 @@ class NormResult:
         }
 
 
-def piece_weight(index: Index, s: float, alpha: float) -> float:
-    """<k>^{s/(1-alpha)} for covering windows, 2^{js} dyadically."""
+def smoothness_weights(bases, s, alpha) -> np.ndarray:
+    """Per-window weights <k>^{s/(1-alpha)}, or 2^{js} dyadically, from the
+    bases of covering.window_base.
+
+    Each weight is one Python float power: a vectorised np.power differs
+    from it in the last bit on some platforms, and norms are kept bit for
+    bit across versions.
+    """
+    s, alpha = float(s), float(alpha)
+    bases = np.asarray(bases, dtype=float).tolist()
     if alpha == 1.0:
-        return 2.0 ** (index * s)
-    ksq = float(np.sum(np.square(np.atleast_1d(np.asarray(index, dtype=float)))))
-    return (1.0 + ksq) ** (s / (2.0 * (1.0 - alpha)))
+        return np.array([2.0 ** (j * s) for j in bases])
+    expo = s / (2.0 * (1.0 - alpha))
+    return np.array([b ** expo for b in bases])
 
 
-def weighted_lq(pieces: dict, s, rq, alpha) -> float:
-    """l_q aggregation of per-window values with smoothness weights."""
-    s = float(s)
-    rq = float(rq)
-    alpha = float(alpha)
-    if not pieces:
+def weighted_lq(values, rq, weights=None) -> float:
+    """l_q norm of weights * values (nonnegative), with 1/q = rq; rq = 0 is
+    the supremum.  No weights means unit weights."""
+    vals = np.asarray(values, dtype=float)
+    if weights is not None:
+        vals = np.asarray(weights) * vals
+    if vals.size == 0:
         return 0.0
-    vals = np.array([piece_weight(k, s, alpha) * v for k, v in pieces.items()])
+    rq = float(rq)
     if rq == 0.0:
         return float(vals.max())
-    q = 1.0 / rq
-    return float(np.sum(vals ** q) ** rq)
+    return float(np.sum(vals ** (1.0 / rq)) ** rq)
 
 
 def sequence_norm(lam: dict, s, rq, alpha) -> float:
@@ -189,11 +202,8 @@ def sequence_norm(lam: dict, s, rq, alpha) -> float:
 
     Keys are lattice indices (alpha < 1) or octaves j >= 0 (alpha = 1).
     """
-    if float(alpha) == 1.0:
-        for k in lam:
-            if not isinstance(k, int) or k < 0:
-                raise ParameterError("dyadic sequences use indices j >= 0")
-    return weighted_lq({k: abs(v) for k, v in lam.items()}, s, rq, alpha)
+    weights = smoothness_weights([window_base(k, float(alpha)) for k in lam], s, alpha)
+    return weighted_lq([abs(v) for v in lam.values()], rq, weights)
 
 
 def _check_band(f: GridFunction, partition: Partition, spec_flat: np.ndarray):
@@ -203,13 +213,46 @@ def _check_band(f: GridFunction, partition: Partition, spec_flat: np.ndarray):
         raise TruncationError(
             f"declared band limit {f.band_limit} exceeds safe radius "
             f"{partition.safe_radius}")
-    rho = freq_grid(f.n, f.N, f.L)
-    rho = np.abs(rho).reshape(-1) if f.n == 1 else np.linalg.norm(rho, axis=-1).reshape(-1)
+    rho = freq_radius(f.n, f.N, f.L)
     total = float(np.sum(np.abs(spec_flat) ** 2))
     outside = float(np.sum(np.abs(spec_flat[rho >= partition.safe_radius]) ** 2))
     if total > 0 and outside > 1e-9 * total:
         raise TruncationError(
             f"spectral mass fraction {outside / total:.3e} outside the safe window")
+
+
+def _live_windows(spec_flat: np.ndarray, partition: Partition) -> np.ndarray:
+    """Positions of the windows whose spectrum piece is not negligible:
+    its largest magnitude exceeds 1e-16 of the spectrum's peak."""
+    peak = float(np.abs(spec_flat).max()) if spec_flat.size else 0.0
+    filled = np.flatnonzero(np.diff(partition.offsets))
+    if peak == 0.0 or filled.size == 0:
+        return filled[:0]
+    local_max = np.maximum.reduceat(np.abs(spec_flat[partition.idx]),
+                                    partition.offsets[filled])
+    return filled[local_max > 1e-16 * peak]
+
+
+def window_lp_norms(spec_flat: np.ndarray, partition: Partition, rp) -> np.ndarray:
+    """L^p norm of each window's piece of a flat fft-layout spectrum.
+
+    Each live window's piece goes through one inverse FFT in a reused
+    N^n buffer; negligible and empty windows are 0.
+    """
+    n, N, L = partition.n, partition.N, partition.L
+    rp = float(rp)
+    out = np.zeros(len(partition.members))
+    pieces = spec_flat[partition.idx] * partition.values
+    buf = np.zeros(N ** n, dtype=complex)
+    grid = buf.reshape((N,) * n)
+    scale, cell_volume = (N / L) ** n, (L / N) ** n
+    for i in _live_windows(spec_flat, partition).tolist():
+        lo, hi = partition.offsets[i], partition.offsets[i + 1]
+        bins = partition.idx[lo:hi]
+        buf[bins] = pieces[lo:hi]
+        out[i] = sample_lp(np.abs(np.fft.ifftn(grid) * scale), rp, cell_volume)
+        buf[bins] = 0.0
+    return out
 
 
 def space_norm(f: GridFunction, params: SpaceParams, partition: Partition) -> NormResult:
@@ -222,20 +265,11 @@ def space_norm(f: GridFunction, params: SpaceParams, partition: Partition) -> No
     _check_same_grid(f, partition.n, partition.N, partition.L)
     spec = spectrum(f)
     _check_band(f, partition, spec)
-    peak = float(np.abs(spec).max()) if spec.size else 0.0
-    pieces = {}
-    for m in partition.members:
-        local = spec[m.idx]
-        if peak == 0.0 or float(np.abs(local).max()) <= 1e-16 * peak:
-            pieces[m.index] = 0.0
-            continue
-        out = np.zeros_like(spec)
-        out[m.idx] = local * m.values
-        piece = from_spectrum(out, f.n, f.N, f.L, band_limit=partition.safe_radius)
-        pieces[m.index] = lp_quasinorm(piece, params.rp)
-    value = weighted_lq(pieces, params.s, params.rq, params.alpha)
-    return NormResult(value=value, pieces=pieces, s=float(params.s),
-                      rq=float(params.rq), alpha=float(params.alpha))
+    norms = window_lp_norms(spec, partition, params.rp)
+    weights = smoothness_weights(partition.bases, params.s, params.alpha)
+    return NormResult(value=weighted_lq(norms, params.rq, weights),
+                      pieces=dict(zip(partition.indices(), norms.tolist())),
+                      s=float(params.s), rq=float(params.rq), alpha=float(params.alpha))
 
 
 def coarse_norm(f: GridFunction, alpha1, alpha2, s, rp, rq,
@@ -253,17 +287,12 @@ def coarse_norm(f: GridFunction, alpha1, alpha2, s, rp, rq,
         raise ParameterError("partitions do not match the requested alphas")
     spec = spectrum(f)
     _check_band(f, partition2, spec)
-    peak = float(np.abs(spec).max()) if spec.size else 0.0
     inner_params = SpaceParams(rp=rp, rq=rq, s=0, alpha=alpha1, n=f.n)
-    outer = {}
-    for m in partition2.members:
-        local = spec[m.idx]
-        if peak == 0.0 or float(np.abs(local).max()) <= 1e-16 * peak:
-            outer[m.index] = 0.0
-            continue
-        piece = box_apply(f, m)
-        outer[m.index] = space_norm(piece, inner_params, partition1).value
-    return weighted_lq(outer, s, rq, alpha2)
+    outer = np.zeros(len(partition2.members))
+    for i in _live_windows(spec, partition2).tolist():
+        piece = box_apply(f, partition2.members[i])
+        outer[i] = space_norm(piece, inner_params, partition1).value
+    return weighted_lq(outer, rq, smoothness_weights(partition2.bases, s, alpha2))
 
 
 # -- witness functions -------------------------------------------------------
@@ -334,10 +363,8 @@ def witness_spread(k: int, alpha1, alpha2, partition_fine: Partition, *,
         raise ParameterError("spread witnesses are one-dimensional")
     frac = support_fraction if support_fraction is not None else witness_support_fraction(part)
     n, N, L = part.n, part.N, part.L
-    widths = []
-    for l in members:
-        _, scale = ball_geometry(l, part.alpha)
-        widths.append(1.0 / (frac * scale))
+    bumps = [ball_geometry(l, part.alpha) for l in members]
+    widths = [1.0 / (frac * scale) for _, scale in bumps]
     if pitch is None:
         pitch = separation * max(widths)
     if len(members) > 1:
@@ -346,19 +373,23 @@ def witness_spread(k: int, alpha1, alpha2, partition_fine: Partition, *,
             raise GeometryError(
                 f"period {L} too small for {len(members)} translates at pitch {pitch:.3g}")
     positions = spread_positions(len(members), pitch)
-    xi = freq_grid(n, N, L).reshape(-1)
-    total = np.zeros(N ** n, dtype=complex)
-    reach = 0.0
-    for l, x0 in zip(members, positions):
-        center, scale = ball_geometry(l, part.alpha)
+    reach = max(abs(center) + frac * scale for center, scale in bumps)
+    if reach >= N / (2.0 * L):
+        raise TruncationError("spread witness spectrum escapes the grid window")
+    total = bump_train(freq_grid(n, N, L), bumps, positions, frac)
+    return from_spectrum(total, n, N, L, band_limit=reach), members, positions
+
+
+def bump_train(xi: np.ndarray, bumps, positions, frac: float) -> np.ndarray:
+    """Spectrum at frequencies xi (n = 1) of witness bumps, one per window
+    (center, scale) in bumps, translated to the given positions."""
+    total = np.zeros(xi.shape, dtype=complex)
+    for (center, scale), x0 in zip(bumps, positions):
         u = np.abs(xi - center) / scale
         w_hat = bump_profile(u, _WITNESS_PLATEAU_FRACTION * frac, frac).astype(complex)
         w_hat *= np.exp(-2j * np.pi * xi * x0)
         total += w_hat
-        reach = max(reach, abs(center) + frac * scale)
-    if reach >= N / (2.0 * L):
-        raise TruncationError("spread witness spectrum escapes the grid window")
-    return from_spectrum(total, n, N, L, band_limit=reach), members, positions
+    return total
 
 
 # -- named test functions ----------------------------------------------------
@@ -376,9 +407,7 @@ def builtin_function(name: str, n: int, N: int, L: float) -> GridFunction:
     if name == "gaussian":
         return GridFunction(n, N, L, np.exp(-math.pi * r2).astype(complex))
     if name == "bump":
-        xi = freq_grid(n, N, L)
-        rho = np.abs(xi) if n == 1 else np.linalg.norm(xi, axis=-1)
-        spec = bump_profile(rho.reshape(-1), 0.5, 1.0).astype(complex)
+        spec = bump_profile(freq_radius(n, N, L), 0.5, 1.0).astype(complex)
         return from_spectrum(spec, n, N, L, band_limit=1.0)
     if name == "tone":
         phase = sum(2j * math.pi * 3.0 / L * g for g in grids)
@@ -389,8 +418,7 @@ def builtin_function(name: str, n: int, N: int, L: float) -> GridFunction:
 def random_band_limited(n: int, N: int, L: float, radius: float,
                         rng: np.random.Generator) -> GridFunction:
     """Random smooth function with spectrum inside |xi| <= radius."""
-    xi = freq_grid(n, N, L)
-    rho = np.abs(xi).reshape(-1) if n == 1 else np.linalg.norm(xi, axis=-1).reshape(-1)
+    rho = freq_radius(n, N, L)
     envelope = bump_profile(rho / radius, 0.6, 1.0)
     coef = rng.standard_normal(rho.shape) + 1j * rng.standard_normal(rho.shape)
     return from_spectrum(envelope * coef, n, N, L, band_limit=radius)

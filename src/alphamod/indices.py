@@ -87,6 +87,10 @@ class SpaceParams:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ParameterError(f"dimension n must be a positive integer, got {self.n!r}")
+        for name in ("rp", "rq", "s", "alpha"):
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
         if self.rp < 0 or self.rq < 0:
             raise ParameterError("reciprocal exponents must be nonnegative")
         if not (0 <= self.alpha <= 1):

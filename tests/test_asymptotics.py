@@ -14,7 +14,7 @@ from alphamod.asymptotics import (
     coarse_norm_ratio_check,
     seq_multiplier_norm_bruteforce,
 )
-from alphamod.errors import DomainError, ParameterError
+from alphamod.errors import DomainError, GeometryError, ParameterError
 from alphamod.indices import SpaceParams, seq_multiplier_norm_closed
 
 
@@ -217,6 +217,19 @@ class TestConsistency:
         assert rep["classification"] == "bounded"
         assert not rep["boundary_skip"]
         assert rep["consistent"]
+
+
+    def test_truncation_below_four_rejected(self):
+        for truncation in (3, 0, -1):
+            with pytest.raises(ParameterError, match="truncation"):
+                embedding_consistency_check(sp(1, 0, 0, 0), sp(0, 0, 0, 0.25),
+                                            truncation=truncation)
+
+    def test_budget_short_of_four_windows(self):
+        # a 1024-point budget fits the grids of windows k <= 2 only
+        with pytest.raises(GeometryError, match="k = 2"):
+            embedding_consistency_check(sp(1, 0, 0, 0), sp(0, 0, 0, 0.5),
+                                        truncation=8, budget=1024)
 
 
 class TestProp31:

@@ -1,6 +1,7 @@
 """Command-line surface: parsing, reports, exit codes, determinism."""
 
 import json
+import random
 
 import pytest
 
@@ -208,6 +209,108 @@ class TestExitCodes:
         status, _, err = invoke(["covering", "--alpha", "0", "--grid", "64,0.5"], capsys)
         assert status == EXIT_INTERNAL
         assert "holds no grid bin" in err
+
+
+class TestRejectedInputs:
+    """Inputs that used to end in a traceback, exit 0 on NaN, or the wrong
+    exit code."""
+
+    @pytest.mark.parametrize("field", ["p=nan", "q=nan", "s=nan", "s=inf", "s=-inf",
+                                       "alpha=nan", "rp=inf", "rq=nan"])
+    def test_non_finite_space_fields(self, capsys, field):
+        fields = dict(item.split("=") for item in "p=2,q=2,s=0,alpha=0".split(","))
+        key, value = field.split("=")
+        fields.pop({"rp": "p", "rq": "q"}.get(key, key))
+        fields[key] = value
+        source = ",".join(f"{k}={v}" for k, v in fields.items())
+        status, out, err = invoke(["decide", "--source", source,
+                                   "--target", source], capsys)
+        assert status == EXIT_CONFIG
+        assert out == "" and "finite" in err
+
+    @pytest.mark.parametrize("grid", ["4096,nan", "4096,inf", "4096,-8", "4096,0",
+                                      "100,8", "0,8", "-64,8"])
+    def test_bad_grid(self, capsys, grid):
+        status, _, err = invoke(["covering", "--alpha", "0", f"--grid={grid}"], capsys)
+        assert status == EXIT_CONFIG
+        assert "config error" in err
+
+    @pytest.mark.parametrize("truncation", ["2", "3", "-1"])
+    def test_small_truncation(self, capsys, truncation):
+        status, _, err = invoke(["verify-embedding",
+                                 "--source", "p=1,q=inf,s=0,alpha=0",
+                                 "--target", "p=inf,q=inf,s=0,alpha=1/4",
+                                 "--truncation", truncation], capsys)
+        assert status == EXIT_PRECONDITION
+        assert "truncation" in err
+
+    def test_index_dimension_mismatch(self, capsys):
+        status, out, err = invoke(["index", "--source", "p=2,q=2,s=0,alpha=0,n=1",
+                                   "--target", "p=2,q=2,s=0,alpha=1/2,n=2"], capsys)
+        assert status == EXIT_PRECONDITION
+        assert out == "" and "dimension mismatch" in err
+
+
+_FUZZ_BAD = ("nan", "inf", "-inf", "0", "-1", "-3/2", "x", "1e", "")
+_FUZZ_GOOD = {"p": ("1/2", "1", "4/3", "2", "4", "inf"), "rp": ("0", "1/2", "1", "3/2"),
+              "s": ("0", "1/2", "-1/4", "1", "0.3"),
+              "alpha": ("0", "1/4", "1/2", "3/4", "1", "0.5")}
+_FUZZ_GOOD["q"], _FUZZ_GOOD["rq"] = _FUZZ_GOOD["p"], _FUZZ_GOOD["rp"]
+
+
+def _fuzz_argv(rng: random.Random) -> list:
+    """One command line of a fast subcommand; each value is malformed,
+    non-finite or out of range one time in ten."""
+    def value(good):
+        return rng.choice(_FUZZ_BAD if rng.random() < 0.1 else good)
+
+    def space():
+        fields = [rng.choice(["p", "rp"]), rng.choice(["q", "rq"]), "s", "alpha"]
+        text = ",".join(f"{k}={value(_FUZZ_GOOD[k])}" for k in fields)
+        if rng.random() < 0.2:
+            text += f",n={value(('1', '2'))}"
+        return text
+
+    def grid():
+        return f"{value(('16', '32', '64'))},{value(('1', '2', '4', '1/2'))}"
+
+    command = rng.choice(["decide", "index", "covering", "normcalc"])
+    argv = [command]
+    if command == "covering":
+        argv += ["--alpha", value(_FUZZ_GOOD["alpha"]), f"--grid={grid()}"]
+        if rng.random() < 0.3:
+            argv += ["--k-max", rng.choice(["-1", "0", "2", "5"])]
+    else:
+        argv += [f"--source={space()}"]
+        if command == "normcalc":
+            argv += ["--builtin", rng.choice(["gaussian", "bump", "tone"]), f"--grid={grid()}"]
+        else:
+            argv += [f"--target={space()}"]
+    if rng.random() < 0.3:
+        argv += ["--n", value(("1", "2"))]
+    if rng.random() < 0.2:
+        argv += [f"--alpha-constants={value(('0.3', '0.4'))},{value(('0.7', '0.8'))}"]
+    return argv
+
+
+class TestArgvFuzz:
+    def test_every_input_ends_in_a_documented_exit_code(self, capsys):
+        rng = random.Random(20261019)
+        seen = set()
+        for _ in range(200):
+            argv = _fuzz_argv(rng)
+            try:
+                status = main(argv)
+            except SystemExit as exc:   # argparse rejects the command line
+                status = exc.code
+            out = capsys.readouterr().out
+            assert status in (EXIT_OK, EXIT_CONFIG, EXIT_PRECONDITION, EXIT_INTERNAL), argv
+            if status == EXIT_OK:
+                json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in {argv}"))
+            else:
+                assert out == "", argv
+            seen.add(status)
+        assert seen == {EXIT_OK, EXIT_CONFIG, EXIT_PRECONDITION, EXIT_INTERNAL}
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ from alphamod.covering import (
     CoveringSpec,
     Covering,
     ball_geometry,
+    bump_profile,
     build_partition,
     covering_for,
     dump_partition_samples,
@@ -347,6 +348,37 @@ class TestPointwiseWindows:
         for k in range(-40, 41):
             total += cov.normalized_window(k, xi)
         assert np.max(np.abs(total - 1.0)) <= 1e-12
+
+
+    def test_windows_equal_one_at_a_time_bit_for_bit(self):
+        # the lattice sum formed once for many windows must give what the
+        # old per-window evaluation gave, summed in the same order
+        def old_normalized_window(cov, k, xi):
+            y = warp(xi, cov.alpha, 1)
+            l_lo = int(math.floor(float(y.min()) - cov.r0)) - 1
+            l_hi = int(math.ceil(float(y.max()) + cov.r0)) + 1
+            total = np.zeros_like(y)
+            target = None
+            for l in range(l_lo, l_hi + 1):
+                vals = bump_profile(np.abs(y - float(cov.lattice_image(l))),
+                                    cov.delta, cov.r0)
+                total += vals
+                if l == k:
+                    target = vals
+            if target is None:
+                target = bump_profile(np.abs(y - float(cov.lattice_image(k))),
+                                      cov.delta, cov.r0)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return np.where(total > 0, target / np.maximum(total, 1e-300), 0.0)
+
+        for alpha in (0.0, 0.25, 0.5):
+            cov = covering_for(CoveringSpec(alpha=alpha, n=1))
+            xi = np.fft.fftfreq(2048, d=1.0 / 64.0) + 37.3
+            ks = list(range(-3, 40)) + [500]
+            rows = list(cov.normalized_windows(ks, xi))
+            for k, row in zip(ks, rows):
+                assert np.array_equal(row, old_normalized_window(cov, k, xi))
+            assert np.array_equal(cov.normalized_window(7, xi), rows[10])
 
 
 class TestHighAlpha:

@@ -1,11 +1,19 @@
 """Transforms, quasi-norms, covering norms, and witness functions on grids."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from alphamod.covering import CoveringSpec, ball_geometry, build_partition, neighbor_set
+from alphamod.covering import (
+    CoveringSpec,
+    Partition,
+    PartitionMember,
+    ball_geometry,
+    build_partition,
+    neighbor_set,
+)
 from alphamod.errors import ParameterError, TruncationError
 from alphamod.grids import (
     GridFunction,
@@ -22,6 +30,7 @@ from alphamod.grids import (
     save_grid_function_csv,
     sequence_norm,
     space_norm,
+    spectrum,
     witness_bump,
     witness_spread,
 )
@@ -262,6 +271,158 @@ class TestCoarseNorm:
         f = builtin_function("bump", 1, 2 ** 12, 8.0)
         with pytest.raises(ParameterError):
             coarse_norm(f, 0.5, 0.0, 0.0, 0.5, 0.5, parts[0.5], parts[0.0])
+
+
+# -- the per-window loop that space_norm and coarse_norm ran before the
+# vectorised kernel, kept as the reference the kernel must match bit for bit
+
+def _reference_lp(f, rp):
+    rp = float(rp)
+    mag = np.abs(f.values)
+    if rp == 0.0:
+        return float(mag.max())
+    p = 1.0 / rp
+    return float((np.sum(mag ** p) * f.cell ** f.n) ** rp)
+
+
+def _reference_weight(index, s, alpha):
+    if alpha == 1.0:
+        return 2.0 ** (index * s)
+    ksq = float(np.sum(np.square(np.atleast_1d(np.asarray(index, dtype=float)))))
+    return (1.0 + ksq) ** (s / (2.0 * (1.0 - alpha)))
+
+
+def _reference_weighted_lq(pieces, s, rq, alpha):
+    s, rq, alpha = float(s), float(rq), float(alpha)
+    if not pieces:
+        return 0.0
+    vals = np.array([_reference_weight(k, s, alpha) * v for k, v in pieces.items()])
+    if rq == 0.0:
+        return float(vals.max())
+    q = 1.0 / rq
+    return float(np.sum(vals ** q) ** rq)
+
+
+def _reference_pieces(f, rp, partition):
+    """Per-window L^p pieces; an empty window (on which the old loop
+    raised) counts as 0, as the kernel defines it."""
+    spec = spectrum(f)
+    peak = float(np.abs(spec).max()) if spec.size else 0.0
+    pieces = {}
+    for m in partition.members:
+        local = spec[m.idx]
+        if peak == 0.0 or m.idx.size == 0 or float(np.abs(local).max()) <= 1e-16 * peak:
+            pieces[m.index] = 0.0
+            continue
+        out = np.zeros_like(spec)
+        out[m.idx] = local * m.values
+        piece = from_spectrum(out, f.n, f.N, f.L, band_limit=partition.safe_radius)
+        pieces[m.index] = _reference_lp(piece, rp)
+    return pieces
+
+
+def _reference_coarse_norm(f, s, rp, rq, partition1, partition2):
+    spec = spectrum(f)
+    peak = float(np.abs(spec).max()) if spec.size else 0.0
+    outer = {}
+    for m in partition2.members:
+        local = spec[m.idx]
+        if peak == 0.0 or float(np.abs(local).max()) <= 1e-16 * peak:
+            outer[m.index] = 0.0
+            continue
+        piece = box_apply(f, m)
+        outer[m.index] = _reference_weighted_lq(
+            _reference_pieces(piece, rp, partition1), 0, rq, partition1.alpha)
+    return _reference_weighted_lq(outer, s, rq, partition2.alpha)
+
+
+_RPS = (0, Fraction(1, 2), 1, Fraction(3, 2))
+_RQS = (0, Fraction(1, 2), 1)
+_SS = (0, Fraction(3, 4), Fraction(-1, 2))
+
+
+@pytest.fixture(scope="module")
+def small_parts():
+    built = {(a, 1): build_partition(CoveringSpec(alpha=float(a), n=1), N=2 ** 10, L=4.0)
+             for a in (0, Fraction(1, 4), Fraction(1, 2), 1)}
+    built[(Fraction(1, 2), 2)] = build_partition(CoveringSpec(alpha=0.5, n=2), N=64, L=1.0)
+    return built
+
+
+def _with_empty_windows(part):
+    """The partition plus two windows that hold no bin, one amid the
+    members and one last."""
+    def empty(index):
+        return PartitionMember(kind="alpha_window", index=index, center=0.0, scale=1.0,
+                               support_radius=0.0, plateau_radius=0.0,
+                               idx=np.zeros(0, dtype=np.intp), values=np.zeros(0),
+                               grid_N=part.N, grid_L=part.L)
+    members = list(part.members)
+    members.insert(len(members) // 2, empty(10 ** 6))
+    members.append(empty(10 ** 6 + 1))
+    return Partition(kind=part.kind, alpha=part.alpha, n=part.n, N=part.N, L=part.L,
+                     safe_radius=part.safe_radius, members=members,
+                     covering=part.covering, spec=part.spec)
+
+
+class TestKernelBitIdentity:
+    """space_norm and coarse_norm equal the old per-window loop bit for bit."""
+
+    def _check(self, f, alpha, part):
+        for rp in _RPS:
+            pieces = _reference_pieces(f, rp, part)
+            for rq in _RQS:
+                for s in _SS:
+                    res = space_norm(f, sp(rp, rq, s, alpha, part.n), part)
+                    assert res.pieces == pieces
+                    assert all(type(v) is float for v in res.pieces.values())
+                    assert res.value == _reference_weighted_lq(pieces, s, rq, alpha)
+
+    @pytest.mark.parametrize("key", [(0, 1), (Fraction(1, 4), 1), (Fraction(1, 2), 1),
+                                     (1, 1), (Fraction(1, 2), 2)])
+    def test_space_norm(self, small_parts, key):
+        alpha, n = key
+        part = small_parts[key]
+        rng = np.random.default_rng(23)
+        f = random_band_limited(n, part.N, part.L, 0.6 * part.safe_radius, rng)
+        self._check(f, alpha, part)
+
+    def test_zero_function(self, small_parts):
+        part = small_parts[(Fraction(1, 4), 1)]
+        f = GridFunction(1, part.N, part.L, np.zeros(part.N), band_limit=1.0)
+        res = space_norm(f, sp(Fraction(1, 2), 1, 1, Fraction(1, 4)), part)
+        assert res.value == 0.0
+        assert set(res.pieces.values()) == {0.0}
+        self._check(f, Fraction(1, 4), part)
+
+    def test_windows_without_bins(self, small_parts):
+        part = _with_empty_windows(small_parts[(Fraction(1, 2), 1)])
+        rng = np.random.default_rng(29)
+        f = random_band_limited(1, part.N, part.L, 0.6 * part.safe_radius, rng)
+        res = space_norm(f, sp(1, Fraction(1, 2), 0, Fraction(1, 2)), part)
+        assert res.pieces[10 ** 6] == res.pieces[10 ** 6 + 1] == 0.0
+        self._check(f, Fraction(1, 2), part)
+
+    def test_members_view_the_flat_arrays(self, small_parts):
+        part = small_parts[(Fraction(1, 2), 2)]
+        for i, m in enumerate(part.members):
+            lo, hi = part.offsets[i], part.offsets[i + 1]
+            assert m.idx.base is part.idx and m.values.base is part.values
+            assert np.array_equal(m.idx, part.idx[lo:hi])
+        assert part.offsets[-1] == part.idx.size == part.values.size
+
+    @pytest.mark.parametrize("pair", [(Fraction(1, 4), Fraction(1, 2)),
+                                      (Fraction(1, 2), 1), (0, 0)])
+    def test_coarse_norm(self, small_parts, pair):
+        a1, a2 = pair
+        p1, p2 = small_parts[(a1, 1)], small_parts[(a2, 1)]
+        rng = np.random.default_rng(31)
+        radius = 0.5 * min(p1.safe_radius, p2.safe_radius)
+        f = random_band_limited(1, p1.N, p1.L, radius, rng)
+        for rp, rq, s in ((Fraction(1, 2), Fraction(1, 2), 0), (1, 1, Fraction(3, 4)),
+                          (Fraction(3, 2), 0, Fraction(-1, 2))):
+            got = coarse_norm(f, a1, a2, s, rp, rq, p1, p2)
+            assert got == _reference_coarse_norm(f, s, rp, rq, p1, p2)
 
 
 class TestBandLimits:
