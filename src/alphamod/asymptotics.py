@@ -12,16 +12,18 @@ rate.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
-from .covering import (CoveringSpec, Partition, ball_geometry, build_partition,
-                       covering_for, window_base)
+from .covering import (Covering, CoveringSpec, Partition, ball_geometry,
+                       build_partition, covering_for, window_base)
 from .errors import DomainError, GeometryError, ParameterError, TruncationError
 from .grids import (
     GridFunction,
@@ -103,18 +105,23 @@ def exponent_fit(samples) -> ExponentFit:
 
 # -- grid planning -----------------------------------------------------------
 
-_partition_cache: dict = {}
+def lab_covering(alpha: float) -> Covering:
+    """The one-dimensional covering with default constants that the sweeps
+    measure on; alpha is taken as its exact float, so every layer of one
+    sweep agrees on the covering of alpha."""
+    return covering_for(CoveringSpec(alpha=float(alpha), n=1))
 
 
-def _cached_partition(alpha: float, N: int, L: float) -> Partition:
-    key = (round(float(alpha), 12), N, round(L, 9))
-    part = _partition_cache.get(key)
-    if part is None:
-        part = build_partition(CoveringSpec(alpha=key[0], n=1), N=N, L=L)
-        if len(_partition_cache) > 48:
-            _partition_cache.clear()
-        _partition_cache[key] = part
-    return part
+@functools.lru_cache(maxsize=48)
+def partition_for(alpha: float, N: int, L: float) -> Partition:
+    """The shared lab partition of alpha on the (N, L) grid: built on the
+    spec of lab_covering(alpha), or the dyadic one at alpha = 1."""
+    return build_partition(CoveringSpec(alpha=float(alpha), n=1), N=N, L=L)
+
+
+# bench/workloads.py clears lab partitions before each cold sweep through
+# this name; coverings stay cached
+_partition_cache = SimpleNamespace(clear=partition_for.cache_clear)
 
 
 def _next_pow2(x: float) -> int:
@@ -135,10 +142,8 @@ def matched_fine_index(k: int, a: float, b: float) -> int:
     """Fine-covering index whose scale matches window k of the coarse covering."""
     target = (1.0 + k * k) ** ((1.0 - a) / (1.0 - b))
     l0 = int(round(math.sqrt(max(target - 1.0, 0.0))))
-    cov_b = covering_for(CoveringSpec(alpha=b, n=1))
-    cov_a = covering_for(CoveringSpec(alpha=a, n=1))
-    frac = 0.85 * cov_a.plateau_fraction(32)
-    plateau = cov_b.plateau_interval(k)
+    frac = 0.85 * lab_covering(a).plateau_fraction(32)
+    plateau = lab_covering(b).plateau_interval(k)
     best, best_err = l0, math.inf
     for l in range(max(0, l0 - 3), l0 + 4):
         center, scale = ball_geometry(l, a)
@@ -158,10 +163,10 @@ class LabGrid:
 
     N: int
     L: float
-    partitions: dict  # alpha -> Partition
+    partitions: dict  # float(alpha) -> Partition
 
     def partition(self, alpha) -> Partition:
-        return self.partitions[round(float(alpha), 12)]
+        return self.partitions[float(alpha)]
 
 
 def plan_grid(source: SpaceParams, target: SpaceParams, k: int, *,
@@ -171,8 +176,7 @@ def plan_grid(source: SpaceParams, target: SpaceParams, k: int, *,
     None if the budget cannot accommodate them."""
     a1, a2 = float(source.alpha), float(target.alpha)
     a, b = min(a1, a2), max(a1, a2)
-    cov_b = covering_for(CoveringSpec(alpha=b, n=1))
-    cov_a = covering_for(CoveringSpec(alpha=a, n=1))
+    cov_b, cov_a = lab_covering(b), lab_covering(a)
     # the next coarse window must also be usable, or the safe window stops
     # short of the anchor's own support
     reach = cov_b.support_outer_radius(k + 2) * 1.02 + 2.0
@@ -191,9 +195,8 @@ def plan_grid(source: SpaceParams, target: SpaceParams, k: int, *,
     if N > budget:
         return None
     while True:
-        alphas = {round(x, 12) for x in (a1, a2, a, b)}
-        partitions = {x: _cached_partition(x, N, L) for x in alphas}
-        satisfied = (k in partitions[round(b, 12)]
+        partitions = {x: partition_for(x, N, L) for x in (a1, a2)}
+        satisfied = (k in partitions[b]
                      and all(p.safe_radius >= cov_b.support_outer_radius(k)
                              for p in partitions.values()))
         if satisfied:
@@ -218,8 +221,7 @@ def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams, *,
 
     a1, a2 = float(source.alpha), float(target.alpha)
     a, b = min(a1, a2), max(a1, a2)
-    cov_b = covering_for(CoveringSpec(alpha=b, n=1))
-    cov_a = covering_for(CoveringSpec(alpha=a, n=1))
+    cov_b, cov_a = lab_covering(b), lab_covering(a)
     if a == b:
         members = [k]
     else:
@@ -622,8 +624,8 @@ def coarse_norm_ratio_check(params: SpaceParams, alpha2, trials: int = 20, *,
     a1, a2 = float(params.alpha), float(alpha2)
     if a1 > a2:
         raise ParameterError("requires alpha1 <= alpha2")
-    part1 = _cached_partition(a1, N, L)
-    part2 = _cached_partition(a2, N, L)
+    part1 = partition_for(a1, N, L)
+    part2 = partition_for(a2, N, L)
     rng = np.random.default_rng(seed)
     radius = 0.75 * min(part1.safe_radius, part2.safe_radius)
     ratios = []

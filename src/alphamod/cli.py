@@ -340,23 +340,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "for covering-decomposition function spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each subcommand takes only the options it reads
     def common(p, spaces=True):
         if spaces:
             p.add_argument("--source", help="space parameters, e.g. p=2,q=inf,s=1/2,alpha=0")
             p.add_argument("--target", help="space parameters of the target")
         p.add_argument("--n", type=int, default=1, help="spatial dimension")
-        p.add_argument("--grid", default=None, help="N,L for sampled computations")
-        p.add_argument("--alpha-constants", default=None,
-                       help="c,C covering constants (warped units)")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write the report to a file")
         p.add_argument("--format", default="json", choices=("json", "csv", "text"))
+
+    def grid(p):
+        p.add_argument("--grid", default=None, help="N,L for sampled computations")
+
+    def seed(p):
+        p.add_argument("--seed", type=int, default=0)
 
     common(sub.add_parser("decide", help="decide the embedding relation"))
     common(sub.add_parser("index", help="evaluate the growth index and regions"))
 
     cov = sub.add_parser("covering", help="build, verify and export a partition")
     common(cov, spaces=False)
+    grid(cov)
+    cov.add_argument("--alpha-constants", default=None,
+                     help="c,C covering constants (warped units)")
     cov.add_argument("--alpha", required=True)
     cov.add_argument("--k-max", type=int, default=None)
     cov.add_argument("--dump-samples", default=None,
@@ -364,16 +370,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     norm = sub.add_parser("normcalc", help="covering norm of a sampled function")
     common(norm)
+    grid(norm)
     norm.add_argument("--builtin", choices=("gaussian", "bump", "tone"))
     norm.add_argument("--input", dest="input_path", default=None,
                       help="GridFunction file (.bin or .csv)")
 
     va = sub.add_parser("verify-asymptotics", help="growth-rate sweep report")
     common(va)
+    seed(va)
     va.add_argument("--j-range", default="4:9", help="octave range lo:hi")
 
     ve = sub.add_parser("verify-embedding", help="consistency / necessity checks")
     common(ve)
+    seed(ve)
     ve.add_argument("--truncation", type=int, default=32)
     return parser
 

@@ -16,6 +16,7 @@ supported in |xi| < 3/2, differenced across octaves).
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -313,21 +314,12 @@ def _signed_unwarp(y: float, alpha: float) -> float:
     return math.copysign(warp_radius_inv(abs(y), alpha), y)
 
 
-_COVERING_CACHE_LIMIT = 48
-_covering_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=48)
 def covering_for(spec: CoveringSpec) -> Covering:
     """The resolved covering of spec, shared by every caller passing an
     equal spec.  Coverings hold no state that changes their results, so
     one instance serves all threads."""
-    cov = _covering_cache.get(spec)
-    if cov is None:
-        cov = Covering(spec)
-        if len(_covering_cache) >= _COVERING_CACHE_LIMIT:
-            _covering_cache.clear()
-        _covering_cache[spec] = cov
-    return cov
+    return Covering(spec)
 
 
 # -- index sets ------------------------------------------------------------
@@ -573,6 +565,9 @@ def window_base(index: Index, alpha: float) -> float:
             raise ParameterError(f"dyadic indices are octaves j >= 0, got {index!r}")
         return float(index)
     ks = index if isinstance(index, tuple) else (index,)
+    if not all(isinstance(c, int) for c in ks):
+        raise ParameterError(
+            f"alpha < 1 indices are integers or integer tuples, got {index!r}")
     return 1.0 + sum(float(c) * float(c) for c in ks)
 
 

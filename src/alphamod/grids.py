@@ -27,7 +27,7 @@ from .covering import (
     neighbor_set,
     window_base,
 )
-from .errors import GeometryError, ParameterError, TruncationError
+from .errors import DomainError, GeometryError, ParameterError, TruncationError
 from .indices import SpaceParams
 
 Index = Union[int, tuple]
@@ -177,10 +177,14 @@ def smoothness_weights(bases, s, alpha) -> np.ndarray:
     """
     s, alpha = float(s), float(alpha)
     bases = np.asarray(bases, dtype=float).tolist()
-    if alpha == 1.0:
-        return np.array([2.0 ** (j * s) for j in bases])
-    expo = s / (2.0 * (1.0 - alpha))
-    return np.array([b ** expo for b in bases])
+    try:
+        if alpha == 1.0:
+            return np.array([2.0 ** (j * s) for j in bases])
+        expo = s / (2.0 * (1.0 - alpha))
+        return np.array([b ** expo for b in bases])
+    except OverflowError:
+        raise DomainError(
+            f"smoothness weights overflow a float at s = {s:g}, alpha = {alpha:g}") from None
 
 
 def weighted_lq(values, rq, weights=None) -> float:

@@ -349,19 +349,6 @@ class PowerWeight:
         return f"PowerWeight(exponent={self.exponent}, n={self.n})"
 
 
-def _l_r_norm(values, rr) -> float:
-    """Weighted l_r norm with 1/r = rr; rr = 0 means the supremum."""
-    import numpy as np
-
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return 0.0
-    if rr == 0:
-        return float(np.max(arr))
-    r = 1.0 / float(rr)
-    return float(np.sum(arr ** r) ** (1.0 / r))
-
-
 def _power_sum_zn(exponent: float, n: int, tail_rel: float = 1e-9):
     """Sum of <k>^exponent over Z^n with an integral tail bound.
 
@@ -414,28 +401,9 @@ def seq_multiplier_norm_closed(a, s1: Scalar, s2: Scalar, rq1: Scalar,
 
     if not isinstance(a, dict):
         raise ParameterError("sequence must be a dict or a PowerWeight")
-    if not a:
-        return 0.0
-    weighted = []
-    for key, val in a.items():
-        if dyadic:
-            if not isinstance(key, int) or key < 0:
-                raise ParameterError(
-                    "alpha = 1 sequences use dyadic indices j >= 0; "
-                    f"got key {key!r}")
-            w = 2.0 ** (key * float(s2 - s1))
-        else:
-            if isinstance(key, tuple):
-                ksq = sum(int(c) ** 2 for c in key)
-            elif isinstance(key, int):
-                ksq = key * key
-            else:
-                raise ParameterError(
-                    "alpha < 1 sequences use integer lattice indices; "
-                    f"got key {key!r}")
-            w = (1.0 + ksq) ** (float(s2 - s1) / (2.0 * (1.0 - float(alpha))))
-        weighted.append(w * abs(val))
-    return _l_r_norm(weighted, float(rr))
+    from .grids import sequence_norm
+
+    return sequence_norm(a, s2 - s1, rr, 1 if dyadic else alpha)
 
 
 def _power_weight_norm(a: PowerWeight, s1, s2, rr, alpha, dyadic, exact) -> float:

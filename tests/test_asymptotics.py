@@ -79,6 +79,39 @@ class TestBoxOpNormLower:
         assert abs(slope - (-0.25)) <= 0.15
 
 
+class TestLabPartitions:
+    def test_one_covering_per_alpha_at_one_third(self):
+        from fractions import Fraction
+
+        from alphamod.asymptotics import matched_fine_index
+        from alphamod.covering import CoveringSpec, covering_for
+
+        covering_for.cache_clear()
+        src, tgt = sp(1, 0, 0, 0), sp(0, 0, 0, Fraction(1, 3))
+        l_fine = matched_fine_index(4, 0.0, 1 / 3)
+        grid = plan_grid(src, tgt, 4, l_fine=l_fine)
+        third = covering_for(CoveringSpec(alpha=1 / 3, n=1))
+        assert grid.partition(tgt.alpha).covering is third
+        assert grid.partition(src.alpha).covering is covering_for(CoveringSpec(alpha=0.0, n=1))
+        assert covering_for.cache_info().currsize == 2
+
+    def test_partition_for_is_shared_and_cleared_alone(self):
+        # bench/workloads.py starts every cold sweep with _partition_cache.clear()
+        import alphamod.asymptotics as asymptotics
+        from alphamod.covering import covering_for
+
+        asymptotics._partition_cache.clear()
+        part = asymptotics.partition_for(0.25, 2 ** 10, 4.0)
+        assert asymptotics.partition_for(0.25, 2 ** 10, 4.0) is part
+        assert asymptotics.partition_for(0.25, 2 ** 11, 4.0) is not part
+        assert asymptotics.partition_for.cache_info().currsize == 2
+        coverings = covering_for.cache_info().currsize
+        asymptotics._partition_cache.clear()
+        assert asymptotics.partition_for.cache_info().currsize == 0
+        assert covering_for.cache_info().currsize == coverings
+        assert asymptotics.partition_for(0.25, 2 ** 10, 4.0) is not part
+
+
 class TestMonteCarlo:
     def test_dominates_witnesses_and_monotone(self):
         src = sp(1.0, 0.5, 0, 0)

@@ -244,6 +244,27 @@ class TestRejectedInputs:
         assert status == EXIT_PRECONDITION
         assert "truncation" in err
 
+    def test_weight_overflow(self, capsys):
+        status, out, err = invoke(["normcalc", "--source", "p=2,q=2,s=1000,alpha=1/2",
+                                   "--builtin", "bump", "--grid", "2048,8"], capsys)
+        assert status == EXIT_PRECONDITION
+        assert out == "" and "s = 1000" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["decide", "--grid", "64,1"],
+        ["index", "--seed", "3"],
+        ["normcalc", "--alpha-constants", "0.4,0.8", "--builtin", "bump"],
+        ["verify-asymptotics", "--grid", "64,1"],
+        ["covering", "--alpha", "0", "--seed", "3"],
+    ])
+    def test_options_a_command_does_not_read(self, capsys, argv):
+        if argv[0] != "covering":
+            argv = argv + ["--source", "p=2,q=2,s=0,alpha=0", "--target", "p=2,q=2,s=0,alpha=0"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_index_dimension_mismatch(self, capsys):
         status, out, err = invoke(["index", "--source", "p=2,q=2,s=0,alpha=0,n=1",
                                    "--target", "p=2,q=2,s=0,alpha=1/2,n=2"], capsys)

@@ -117,21 +117,18 @@ class TestSharedCovering:
                 assert first == Covering(spec).plateau_fraction(probe)
 
     def test_cache_stays_bounded(self):
-        from alphamod import covering
-
-        for i in range(covering._COVERING_CACHE_LIMIT + 12):
+        limit = covering_for.cache_info().maxsize
+        for i in range(limit + 12):
             covering_for(CoveringSpec(alpha=0.25, n=1, c_small=0.1 + 0.005 * i))
-            assert len(covering._covering_cache) <= covering._COVERING_CACHE_LIMIT
+            assert covering_for.cache_info().currsize <= limit
 
     def test_threads_share_coverings_safely(self):
         import sys
         import threading
 
-        from alphamod import covering
-
         specs = [CoveringSpec(alpha=a, n=1) for a in (0.1, 0.25, 0.5, 0.75)]
         expected = {spec: Covering(spec).plateau_fraction(32) for spec in specs}
-        covering._covering_cache.clear()
+        covering_for.cache_clear()
         seen, errors = [], []
 
         def work():

@@ -242,6 +242,28 @@ class TestRegionClassify:
                 assert set(bd.binding_labels()) == labels
 
 
+def _reference_closed_dict(a, s1, s2, rq1, rq2, alpha):
+    """The dict branch of seq_multiplier_norm_closed before it went through
+    grids.sequence_norm: its own weight loop and l_r norm."""
+    import numpy as np
+
+    dyadic = alpha == 1
+    rr = max(0.0, float(rq2) - float(rq1))
+    weighted = []
+    for key, val in a.items():
+        if dyadic:
+            w = 2.0 ** (key * float(s2 - s1))
+        else:
+            ksq = sum(int(c) ** 2 for c in key) if isinstance(key, tuple) else key * key
+            w = (1.0 + ksq) ** (float(s2 - s1) / (2.0 * (1.0 - float(alpha))))
+        weighted.append(w * abs(val))
+    arr = np.asarray(weighted, dtype=float)
+    if rr == 0:
+        return float(np.max(arr))
+    r = 1.0 / rr
+    return float(np.sum(arr ** r) ** (1.0 / r))
+
+
 class TestSeqMultiplierClosed:
     def test_unit_sequence_sup(self):
         a = {k: 1.0 for k in range(-3, 4)}
@@ -259,6 +281,36 @@ class TestSeqMultiplierClosed:
     def test_dyadic_indexing_enforced(self):
         with pytest.raises(ParameterError):
             seq_multiplier_norm_closed({-1: 1.0}, 0, 0, 1, 1, 1)
+
+    @pytest.mark.parametrize("key", [1.5, "3", (1, 2.0), None])
+    def test_lattice_indexing_enforced(self, key):
+        with pytest.raises(ParameterError, match="integer"):
+            seq_multiplier_norm_closed({0: 1.0, key: 1.0}, 0, 0, 1, 1, HALF)
+
+    def test_weight_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="s = 1000"):
+            seq_multiplier_norm_closed({10 ** 6: 1.0}, 0, 1000, 1, 1, HALF)
+
+    @pytest.mark.parametrize("rq1,rq2", [(1, HALF), (0, HALF), (0, 1), (0, F(3, 2)),
+                                         (HALF, 2)])
+    def test_dict_norm_bit_identical_to_reference(self, rq1, rq2):
+        rng = random.Random(7)
+        for _ in range(150):
+            alpha = rng.choice([0, F(1, 4), HALF, F(3, 4), 1, 0.25, 0.5])
+            s1 = rng.choice([0, F(1, 2), F(-3, 4), 1.25])
+            s2 = rng.choice([0, F(1, 3), F(5, 4), -0.5])
+            if alpha == 1:
+                keys = rng.sample(range(0, 40), 6)
+            elif rng.random() < 0.5:
+                keys = rng.sample(range(-40, 41), 6)
+            else:
+                keys = list({(rng.randrange(-20, 21), rng.randrange(-20, 21))
+                             for _ in range(6)})
+            a = {k: rng.choice([rng.uniform(-3, 3), F(rng.randrange(1, 9), 7)])
+                 for k in keys}
+            for r1, r2 in ((rq1, rq2), (float(rq1), float(rq2))):
+                got = seq_multiplier_norm_closed(a, s1, s2, r1, r2, alpha)
+                assert got == _reference_closed_dict(a, s1, s2, r1, r2, alpha)
 
     def test_dyadic_geometric_norm(self):
         val = seq_multiplier_norm_closed(PowerWeight(-1, n=1), 0, 0, HALF, 1, 1)
