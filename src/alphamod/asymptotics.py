@@ -207,7 +207,7 @@ def plan_grid(source: SpaceParams, target: SpaceParams, k: int, *,
 
 
 def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams, *,
-                  budget: int = DEFAULT_BUDGET, separation: float = 3.0) -> Optional[float]:
+                  budget: int = DEFAULT_BUDGET) -> Optional[float]:
     """Norm ratio of the translated-sum witness, measured in demodulated
     coordinates.
 
@@ -278,14 +278,14 @@ def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams, *,
             raise GeometryError("spread witness has vanishing source norm")
         return num / den
 
-    built = build(separation)
+    built = build(3.0)
     if built is None:
         built = build(2.0)
         if built is None:
             return None
     value = measure(built)
     if count > 1:
-        doubled = build(2.0 * separation)
+        doubled = build(6.0)
         if doubled is not None:
             check = measure(doubled)
             if abs(check - value) > 0.02 * max(check, value):
@@ -307,8 +307,7 @@ def _norm_ratio(f: GridFunction, member, source: SpaceParams, target: SpaceParam
 
 
 def box_opnorm_lower(k: int, source: SpaceParams, target: SpaceParams,
-                     grid: LabGrid, *, include_spread: bool = True,
-                     budget: int = DEFAULT_BUDGET) -> list:
+                     grid: LabGrid, *, budget: int = DEFAULT_BUDGET) -> list:
     """Witness-function lower bounds for the localized operator norm at k.
 
     Produces one sample per witness family; the spread witness runs on its
@@ -341,11 +340,10 @@ def box_opnorm_lower(k: int, source: SpaceParams, target: SpaceParams,
                                                     part_1, part_2),
                             eff_logscale=eff))
 
-    if include_spread:
-        val = _spread_ratio(k, source, target, budget=budget)
-        if val is not None:
-            out.append(OpNormSample(j=j, k=k, witness=WITNESS_SPREAD,
-                                    lower_bound=val, eff_logscale=eff))
+    val = _spread_ratio(k, source, target, budget=budget)
+    if val is not None:
+        out.append(OpNormSample(j=j, k=k, witness=WITNESS_SPREAD,
+                                lower_bound=val, eff_logscale=eff))
     return out
 
 

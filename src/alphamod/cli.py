@@ -15,7 +15,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .covering import (
@@ -119,7 +119,6 @@ class RunConfig:
     j_min: int = 4
     j_max: int = 9
     truncation: int = 32
-    extras: dict = field(default_factory=dict)
 
     def describe(self) -> dict:
         cfg = {
@@ -341,10 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each subcommand takes only the options it reads
-    def common(p, spaces=True):
-        if spaces:
-            p.add_argument("--source", help="space parameters, e.g. p=2,q=inf,s=1/2,alpha=0")
-            p.add_argument("--target", help="space parameters of the target")
+    space_help = {"source": "space parameters, e.g. p=2,q=inf,s=1/2,alpha=0",
+                  "target": "space parameters of the target"}
+
+    def common(p, spaces=("source", "target")):
+        for name in spaces:
+            p.add_argument(f"--{name}", help=space_help[name])
         p.add_argument("--n", type=int, default=1, help="spatial dimension")
         p.add_argument("--out", default=None, help="write the report to a file")
         p.add_argument("--format", default="json", choices=("json", "csv", "text"))
@@ -359,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("index", help="evaluate the growth index and regions"))
 
     cov = sub.add_parser("covering", help="build, verify and export a partition")
-    common(cov, spaces=False)
+    common(cov, spaces=())
     grid(cov)
     cov.add_argument("--alpha-constants", default=None,
                      help="c,C covering constants (warped units)")
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the binary sample dump to this path")
 
     norm = sub.add_parser("normcalc", help="covering norm of a sampled function")
-    common(norm)
+    common(norm, spaces=("source",))
     grid(norm)
     norm.add_argument("--builtin", choices=("gaussian", "bump", "tone"))
     norm.add_argument("--input", dest="input_path", default=None,

@@ -184,8 +184,9 @@ class Covering:
             return center * (1.0 + center * center) ** (-self.alpha / 2.0)
         return warp(np.asarray(center, dtype=float), self.alpha, self.n)
 
-    def _min_lattice_gap(self, probe: int = 512) -> float:
-        ks = np.arange(0, probe + 2, dtype=float)
+    def _min_lattice_gap(self) -> float:
+        # gaps between consecutive axis points k = 0, ..., 513
+        ks = np.arange(0, 514, dtype=float)
         y = warp_radius(ks * (1.0 + ks * ks) ** (self.alpha / (2 * (1 - self.alpha))),
                         self.alpha)
         axis_gap = float(np.min(np.diff(y)))
@@ -257,7 +258,7 @@ class Covering:
         cn = float(np.linalg.norm(c))
         return max(min(outer - cn, cn - inner) if yn > self.delta else outer - cn, 0.0)
 
-    def plateau_fraction(self, k_probe: int = 128) -> float:
+    def plateau_fraction(self, k_probe: int) -> float:
         """min_k inscribed plateau radius / scale, over |k| <= k_probe."""
         frac = self._plateau_fractions.get(k_probe)
         if frac is not None:
@@ -269,16 +270,6 @@ class Covering:
             frac = min(frac, self.inscribed_plateau_radius(kk) / scale)
         self._plateau_fractions[k_probe] = frac
         return frac
-
-    def window_values(self, k: Index, xi):
-        """Unnormalized window profile at frequencies xi."""
-        y = warp(np.asarray(xi, dtype=float), self.alpha, self.n)
-        yk = self.lattice_image(k)
-        if self.n == 1:
-            r = np.abs(y - float(yk))
-        else:
-            r = np.linalg.norm(y - np.asarray(yk), axis=-1)
-        return bump_profile(r, self.delta, self.r0)
 
     def normalized_window(self, k: int, xi: np.ndarray) -> np.ndarray:
         """eta_k^alpha at arbitrary frequencies (n = 1): the window profile
@@ -487,7 +478,6 @@ class PartitionMember:
     center: Union[float, np.ndarray]
     scale: float
     support_radius: float        # measured in frequency units, about center
-    plateau_radius: float        # inscribed radius of the exact-1 region
     idx: np.ndarray              # flat indices into the fft-layout spectrum
     values: np.ndarray           # window samples at idx
     grid_N: int = 0              # grid the samples were taken on
@@ -611,29 +601,28 @@ def build_partition(spec: CoveringSpec, N: int, L: float) -> Partition:
     return _build_alpha_2d(cov, spec, N, L, f_nyq)
 
 
-def _usable_range_1d(cov: Covering, f_nyq: float):
-    k = 0
-    while cov.support_outer_radius(k + 1) < f_nyq:
-        k += 1
-    return k
-
-
 def _build_alpha_1d(cov: Covering, spec: CoveringSpec, N: int, L: float,
                     f_nyq: float) -> Partition:
-    k_fit = _usable_range_1d(cov, f_nyq)
+    # each window's support interval is resolved once; for k >= 1 its upper
+    # end is support_outer_radius(k)
+    interval = functools.cache(cov.support_interval)
+    k_fit = 0
+    while interval(k_fit + 1)[1] < f_nyq:
+        k_fit += 1
     if spec.k_max is not None:
         k_fit = min(k_fit, spec.k_max)
     if k_fit < 1:
         raise GeometryError("grid too small to hold any window beyond the origin")
     xi = freq_axis(N, L)
+    y = warp(xi, cov.alpha, 1)
     total = np.zeros(N)
     # normalize with every window that touches the grid, usable or not
     k_touch = k_fit
-    while cov.support_interval(k_touch + 1)[0] < f_nyq and k_touch < k_fit + 64:
+    while interval(k_touch + 1)[0] < f_nyq and k_touch < k_fit + 64:
         k_touch += 1
     cache = {}
     for k in range(-k_touch, k_touch + 1):
-        lo, hi = cov.support_interval(k)
+        lo, hi = interval(k)
         i0 = int(math.ceil(lo * L))
         i1 = int(math.floor(hi * L))
         i0 = max(i0, -N // 2)
@@ -641,14 +630,13 @@ def _build_alpha_1d(cov: Covering, spec: CoveringSpec, N: int, L: float,
         if i1 < i0:
             continue
         idx = np.arange(i0, i1 + 1) % N
-        vals = cov.window_values(k, xi[idx])
+        vals = cov._profile_at(k, y[idx])
         keep = vals > 0.0
         cache[k] = (idx[keep], vals[keep])
         total[idx[keep]] += vals[keep]
     if float(total.min()) < _SUM_FLOOR:
         # only a problem where usable windows live; check inside their reach
-        reach = cov.support_outer_radius(k_fit)
-        inside = np.abs(xi) <= reach
+        inside = np.abs(xi) <= interval(k_fit)[1]
         if float(total[inside].min()) < _SUM_FLOOR:
             raise CoveringError("window sum dipped below floor: constants too small")
     members = []
@@ -659,15 +647,13 @@ def _build_alpha_1d(cov: Covering, spec: CoveringSpec, N: int, L: float,
                 f"is too coarse for alpha = {cov.alpha:g}")
         idx, vals = cache[k]
         center, scale = ball_geometry(k, cov.alpha)
-        lo, hi = cov.support_interval(k)
+        lo, hi = interval(k)
         members.append(PartitionMember(
             kind="alpha_window", index=k, center=center, scale=scale,
             support_radius=max(hi - center, center - lo),
-            plateau_radius=cov.inscribed_plateau_radius(k),
             idx=idx, values=vals / total[idx], grid_N=N, grid_L=L))
-    safe_radius = cov.support_interval(k_fit + 1)[0]
     return Partition(kind="alpha", alpha=cov.alpha, n=1, N=N, L=L,
-                     safe_radius=min(safe_radius, f_nyq), members=members,
+                     safe_radius=min(interval(k_fit + 1)[0], f_nyq), members=members,
                      covering=cov, spec=spec)
 
 
@@ -681,43 +667,34 @@ def _build_alpha_2d(cov: Covering, spec: CoveringSpec, N: int, L: float,
     if spec.k_max is not None:
         k_reach = min(k_reach, spec.k_max)
     total = np.zeros(N * N)
-    cache = {}
+    windows = {}
+    # safe radius: nearest non-usable window's inner support edge
+    edge = math.inf
     shells = range(-k_reach - 2, k_reach + 3)
-    usable = []
     for kx in shells:
         for ky in shells:
             k = (kx, ky)
-            yk = np.asarray(cov.lattice_image(k), dtype=float)
+            yk = cov.lattice_image(k)
+            yn = float(np.linalg.norm(yk))
             r = np.linalg.norm(y - yk, axis=-1)
-            mask = r < cov.r0
-            if not mask.any():
-                continue
-            idx = np.nonzero(mask)[0]
-            vals = bump_profile(r[idx], cov.delta, cov.r0)
-            total[idx] += vals
-            if max(abs(kx), abs(ky)) <= k_reach and cov.support_outer_radius(k) < f_nyq:
-                cache[k] = (idx, vals)
-                usable.append(k)
+            idx = np.nonzero(r < cov.r0)[0]
+            if idx.size:
+                vals = bump_profile(r[idx], cov.delta, cov.r0)
+                total[idx] += vals
+                if max(abs(kx), abs(ky)) <= k_reach:
+                    outer = warp_radius_inv(yn + cov.r0, cov.alpha)
+                    if outer < f_nyq:
+                        windows[k] = (idx, vals, outer)
+                        continue
+            edge = min(edge, max(yn - cov.r0, 0.0))
     members = []
-    for k in usable:
-        idx, vals = cache[k]
+    for k, (idx, vals, outer) in windows.items():
         center, scale = ball_geometry(k, cov.alpha)
-        yk = np.asarray(cov.lattice_image(k), dtype=float)
-        outer = cov.support_outer_radius(k)
+        cn = float(np.linalg.norm(center))
         members.append(PartitionMember(
             kind="alpha_window", index=k, center=np.asarray(center), scale=scale,
-            support_radius=outer - float(np.linalg.norm(center)) if np.linalg.norm(center) > 0
-            else outer,
-            plateau_radius=cov.inscribed_plateau_radius(k),
+            support_radius=outer - cn if cn > 0 else outer,
             idx=idx, values=vals / total[idx], grid_N=N, grid_L=L))
-    # safe radius: nearest non-usable window's inner support edge
-    edge = math.inf
-    for kx in shells:
-        for ky in shells:
-            if (kx, ky) in cache:
-                continue
-            yn = float(np.linalg.norm(np.asarray(cov.lattice_image((kx, ky)), dtype=float)))
-            edge = min(edge, max(yn - cov.r0, 0.0))
     safe_radius = warp_radius_inv(edge, cov.alpha) if edge < math.inf else f_nyq
     return Partition(kind="alpha", alpha=cov.alpha, n=2, N=N, L=L,
                      safe_radius=min(safe_radius, f_nyq), members=members,
@@ -746,12 +723,9 @@ def _build_dyadic(spec: CoveringSpec, N: int, L: float) -> Partition:
     for j in range(0, j_max + 1):
         vals = dyadic_symbol(j, rho)
         idx = np.nonzero(vals > 0.0)[0]
-        lo = (4.0 / 3.0) * 2.0 ** (j - 1) if j >= 1 else 0.0
-        hi = 1.5 * 2.0 ** j
         members.append(PartitionMember(
             kind="dyadic", index=j, center=0.0 if spec.n == 1 else np.zeros(spec.n),
-            scale=2.0 ** j, support_radius=hi,
-            plateau_radius=0.5 * ((4.0 / 3.0) * 2.0 ** j - lo) if j >= 1 else (4.0 / 3.0),
+            scale=2.0 ** j, support_radius=1.5 * 2.0 ** j,
             idx=idx, values=vals[idx], grid_N=N, grid_L=L))
     return Partition(kind="dyadic", alpha=1.0, n=spec.n, N=N, L=L,
                      safe_radius=(4.0 / 3.0) * 2.0 ** j_max, members=members,

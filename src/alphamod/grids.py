@@ -198,7 +198,13 @@ def weighted_lq(values, rq, weights=None) -> float:
     rq = float(rq)
     if rq == 0.0:
         return float(vals.max())
-    return float(np.sum(vals ** (1.0 / rq)) ** rq)
+    with np.errstate(over="ignore"):
+        total = np.sum(vals ** (1.0 / rq))
+    if math.isinf(total) and np.isfinite(vals).all():
+        # the power sum overflowed: sum the values over their maximum instead
+        top = vals.max()
+        return float(top * np.sum((vals / top) ** (1.0 / rq)) ** rq)
+    return float(total ** rq)
 
 
 def sequence_norm(lam: dict, s, rq, alpha) -> float:
@@ -305,11 +311,11 @@ _WITNESS_PLATEAU_FRACTION = 0.25
 _WITNESS_SAFETY = 0.85
 
 
-def witness_support_fraction(partition: Partition, k_probe: int = 128) -> float:
+def witness_support_fraction(partition: Partition) -> float:
     """Spectral support radius of witness bumps, as a fraction of the scale."""
     if partition.covering is None:
         raise ParameterError("witness bumps require an alpha < 1 covering")
-    return _WITNESS_SAFETY * partition.covering.plateau_fraction(k_probe)
+    return _WITNESS_SAFETY * partition.covering.plateau_fraction(128)
 
 
 def witness_bump(l: Index, alpha, partition: Partition, *,

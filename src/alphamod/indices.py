@@ -349,7 +349,7 @@ class PowerWeight:
         return f"PowerWeight(exponent={self.exponent}, n={self.n})"
 
 
-def _power_sum_zn(exponent: float, n: int, tail_rel: float = 1e-9):
+def _power_sum_zn(exponent: float, n: int):
     """Sum of <k>^exponent over Z^n with an integral tail bound.
 
     Requires exponent < -n; returns (value, tail_bound).

@@ -256,6 +256,7 @@ class TestRejectedInputs:
         ["normcalc", "--alpha-constants", "0.4,0.8", "--builtin", "bump"],
         ["verify-asymptotics", "--grid", "64,1"],
         ["covering", "--alpha", "0", "--seed", "3"],
+        ["normcalc", "--builtin", "bump", "--grid", "2048,8"],
     ])
     def test_options_a_command_does_not_read(self, capsys, argv):
         if argv[0] != "covering":

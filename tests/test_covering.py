@@ -5,15 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from alphamod.cli import EXIT_INTERNAL, main
 from alphamod.covering import (
     CoveringSpec,
     Covering,
+    Partition,
+    PartitionMember,
     ball_geometry,
     bump_profile,
     build_partition,
     covering_for,
     dump_partition_samples,
     freq_axis,
+    freq_grid,
     load_partition_samples,
     neighbor_set,
     partition_rows,
@@ -22,7 +26,7 @@ from alphamod.covering import (
     warp_radius,
     warp_radius_inv,
 )
-from alphamod.errors import ParameterError, TruncationError
+from alphamod.errors import CoveringError, GeometryError, ParameterError, TruncationError
 
 
 class TestBallGeometry:
@@ -98,6 +102,147 @@ class TestBitIdentity:
                 assert got_scale == float(scale)
                 assert center == float(scale * kv)
                 assert ball_geometry(np.int64(k), alpha) == (center, got_scale)
+
+
+def _reference_build_1d(spec, N, L):
+    """The per-window 1-D builder: support intervals resolved at each use
+    and the grid warped again for every window."""
+    cov = covering_for(spec)
+    f_nyq = N / (2.0 * L)
+    k_fit = 0
+    while cov.support_outer_radius(k_fit + 1) < f_nyq:
+        k_fit += 1
+    if spec.k_max is not None:
+        k_fit = min(k_fit, spec.k_max)
+    if k_fit < 1:
+        raise GeometryError("grid too small to hold any window beyond the origin")
+    xi = freq_axis(N, L)
+    total = np.zeros(N)
+    k_touch = k_fit
+    while cov.support_interval(k_touch + 1)[0] < f_nyq and k_touch < k_fit + 64:
+        k_touch += 1
+    cache = {}
+    for k in range(-k_touch, k_touch + 1):
+        lo, hi = cov.support_interval(k)
+        i0 = max(int(math.ceil(lo * L)), -N // 2)
+        i1 = min(int(math.floor(hi * L)), N // 2 - 1)
+        if i1 < i0:
+            continue
+        idx = np.arange(i0, i1 + 1) % N
+        y = warp(xi[idx], cov.alpha, 1)
+        vals = bump_profile(np.abs(y - float(cov.lattice_image(k))), cov.delta, cov.r0)
+        keep = vals > 0.0
+        cache[k] = (idx[keep], vals[keep])
+        total[idx[keep]] += vals[keep]
+    if float(total.min()) < 1e-3:
+        inside = np.abs(xi) <= cov.support_outer_radius(k_fit)
+        if float(total[inside].min()) < 1e-3:
+            raise CoveringError("window sum dipped below floor: constants too small")
+    members = []
+    for k in range(-k_fit, k_fit + 1):
+        if k not in cache:
+            raise GeometryError(
+                f"window {k} holds no grid bin: frequency spacing {1.0 / L:g} "
+                f"is too coarse for alpha = {cov.alpha:g}")
+        idx, vals = cache[k]
+        center, scale = ball_geometry(k, cov.alpha)
+        lo, hi = cov.support_interval(k)
+        members.append(PartitionMember(
+            kind="alpha_window", index=k, center=center, scale=scale,
+            support_radius=max(hi - center, center - lo),
+            idx=idx, values=vals / total[idx], grid_N=N, grid_L=L))
+    safe_radius = cov.support_interval(k_fit + 1)[0]
+    return Partition(kind="alpha", alpha=cov.alpha, n=1, N=N, L=L,
+                     safe_radius=min(safe_radius, f_nyq), members=members,
+                     covering=cov, spec=spec)
+
+
+def _reference_build_2d(spec, N, L):
+    """The per-window 2-D builder: one pass for the window sum, outer radii
+    resolved again per member, one more lattice pass for the safe radius."""
+    cov = covering_for(spec)
+    f_nyq = N / (2.0 * L)
+    xi = freq_grid(2, N, L).reshape(-1, 2)
+    y = warp(xi, cov.alpha, 2)
+    k_reach = 1
+    while cov.support_outer_radius((k_reach + 1, 0)) < f_nyq:
+        k_reach += 1
+    if spec.k_max is not None:
+        k_reach = min(k_reach, spec.k_max)
+    total = np.zeros(N * N)
+    cache = {}
+    shells = range(-k_reach - 2, k_reach + 3)
+    for kx in shells:
+        for ky in shells:
+            k = (kx, ky)
+            r = np.linalg.norm(y - np.asarray(cov.lattice_image(k), dtype=float), axis=-1)
+            mask = r < cov.r0
+            if not mask.any():
+                continue
+            idx = np.nonzero(mask)[0]
+            vals = bump_profile(r[idx], cov.delta, cov.r0)
+            total[idx] += vals
+            if max(abs(kx), abs(ky)) <= k_reach and cov.support_outer_radius(k) < f_nyq:
+                cache[k] = (idx, vals)
+    members = []
+    for k, (idx, vals) in cache.items():
+        center, scale = ball_geometry(k, cov.alpha)
+        outer = cov.support_outer_radius(k)
+        cn = float(np.linalg.norm(center))
+        members.append(PartitionMember(
+            kind="alpha_window", index=k, center=np.asarray(center), scale=scale,
+            support_radius=outer - cn if cn > 0 else outer,
+            idx=idx, values=vals / total[idx], grid_N=N, grid_L=L))
+    edge = math.inf
+    for kx in shells:
+        for ky in shells:
+            if (kx, ky) not in cache:
+                yn = float(np.linalg.norm(np.asarray(cov.lattice_image((kx, ky)), dtype=float)))
+                edge = min(edge, max(yn - cov.r0, 0.0))
+    safe_radius = warp_radius_inv(edge, cov.alpha) if edge < math.inf else f_nyq
+    return Partition(kind="alpha", alpha=cov.alpha, n=2, N=N, L=L,
+                     safe_radius=min(safe_radius, f_nyq), members=members,
+                     covering=cov, spec=spec)
+
+
+def _assert_same_build(spec, N, L, reference):
+    try:
+        want = reference(spec, N, L)
+    except (CoveringError, GeometryError) as exc:
+        with pytest.raises(type(exc)) as got:
+            build_partition(spec, N, L)
+        assert str(got.value) == str(exc)
+        return
+    got = build_partition(spec, N, L)
+    for name in ("idx", "values", "offsets", "bases"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.safe_radius == want.safe_radius
+    assert len(got.members) == len(want.members)
+    for m, r in zip(got.members, want.members):
+        assert m.index == r.index
+        assert np.asarray(m.center).tobytes() == np.asarray(r.center).tobytes()
+        assert (m.scale, m.support_radius) == (r.scale, r.support_radius)
+
+
+_BUILD_ALPHAS = [0.0, 1 / 4, 1 / 3, 1 / 2, 3 / 4, 0.9]
+
+
+class TestBuilderBitIdentity:
+    """build_partition equals the per-window builders bit for bit."""
+
+    @pytest.mark.parametrize("alpha", _BUILD_ALPHAS)
+    @pytest.mark.parametrize("grid", [(4096, 2.0, None), (2 ** 16, 61.38107416879879, None),
+                                      (4096, 2.0, 5), (2 ** 13, 2.0, None)])
+    def test_one_dim(self, alpha, grid):
+        N, L, k_max = grid
+        _assert_same_build(CoveringSpec(alpha=alpha, n=1, k_max=k_max), N, L,
+                           _reference_build_1d)
+
+    @pytest.mark.parametrize("alpha", _BUILD_ALPHAS)
+    @pytest.mark.parametrize("grid", [(64, 1.0), (128, 2.0)])
+    def test_two_dim(self, alpha, grid):
+        _assert_same_build(CoveringSpec(alpha=alpha, n=2), *grid, _reference_build_2d)
 
 
 class TestSharedCovering:
@@ -413,7 +558,13 @@ class TestCoveringConstants:
             assert cov.plateau_fraction(64) > 0.05
 
     def test_infeasible_constants_rejected(self):
-        from alphamod.errors import CoveringError
-
         with pytest.raises(CoveringError):
             Covering(CoveringSpec(alpha=0.75, n=1, c_big=0.9, delta=0.2))
+
+    def test_window_sum_below_floor(self, capsys):
+        # support 0.45 leaves gaps in the unit lattice where no window reaches
+        with pytest.raises(CoveringError, match="dipped below floor"):
+            build_partition(CoveringSpec(alpha=0.0, n=1, c_big=0.45), N=1024, L=8.0)
+        assert main(["covering", "--alpha", "0", "--alpha-constants", "0.3,0.45",
+                     "--grid", "1024,8"]) == EXIT_INTERNAL
+        assert "dipped below floor" in capsys.readouterr().err

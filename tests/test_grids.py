@@ -1,6 +1,7 @@
 """Transforms, quasi-norms, covering norms, and witness functions on grids."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,7 @@ from alphamod.grids import (
     sequence_norm,
     space_norm,
     spectrum,
+    weighted_lq,
     witness_bump,
     witness_spread,
 )
@@ -231,6 +233,14 @@ class TestSequenceNorm:
             for alpha in (0.0, 0.5):
                 assert sequence_norm({0: 1.0}, s, 0.5, alpha) == 1.0
 
+    def test_power_sum_overflow(self):
+        # 1e200 ** 2 overflows, the norm sqrt(3) * 1e200 does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sequence_norm({0: 1e200, 1: 1e200, 2: 1e200}, 0, Fraction(1, 2), 0)
+            assert got == 1.7320508075688773e200
+            assert weighted_lq([3.0, 4.0], 0.5) == 5.0
+
     def test_dyadic_telescoping_sup(self):
         lam = {j: 2.0 ** (-j) for j in range(11)}
         assert sequence_norm(lam, 1.0, 0.0, 1.0) == pytest.approx(1.0)
@@ -354,7 +364,7 @@ def _with_empty_windows(part):
     members and one last."""
     def empty(index):
         return PartitionMember(kind="alpha_window", index=index, center=0.0, scale=1.0,
-                               support_radius=0.0, plateau_radius=0.0,
+                               support_radius=0.0,
                                idx=np.zeros(0, dtype=np.intp), values=np.zeros(0),
                                grid_N=part.N, grid_L=part.L)
     members = list(part.members)
