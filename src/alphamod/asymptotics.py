@@ -419,6 +419,8 @@ def growth_rate_check(source: SpaceParams, target: SpaceParams, j_range, *,
     if max(float(source.alpha), float(target.alpha)) >= 1.0:
         raise ParameterError("rate sweeps cover alpha < 1")
     js = sorted(j_range)
+    if not js:
+        raise ParameterError("octave range is empty")
     if js[-1] - js[0] < 3:
         raise ParameterError("octave range must span at least 4 octaves")
     a1, a2 = float(source.alpha), float(target.alpha)

@@ -3,8 +3,9 @@
 Every report embeds the resolved configuration, the seed, and a schema tag;
 identical (config, seed) pairs produce byte-identical output.  Exit status
 0 means the computation ran (even when the verdict is "does not embed");
-2 flags a configuration parse error, 3 a violated precondition, 4 an
-internal numerical check failure.
+2 flags a configuration parse error or an output path that cannot be
+written, 3 a violated precondition (an unreadable input file included), 4
+an internal numerical check failure.
 """
 
 from __future__ import annotations
@@ -417,6 +418,8 @@ def config_from_args(args) -> RunConfig:
     if args.command == "verify-asymptotics":
         lo, _, hi = args.j_range.partition(":")
         cfg.j_min, cfg.j_max = int(lo), int(hi or lo)
+        if cfg.j_max < cfg.j_min:
+            raise ParameterError(f"--j-range {args.j_range!r} is empty: want lo:hi with lo <= hi")
     if args.command == "verify-embedding":
         cfg.truncation = args.truncation
     return cfg
@@ -432,13 +435,19 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         status, report = run(config)
+        emit(report, config.fmt, config.out)
     except (ParameterError, DomainError) as exc:
         sys.stderr.write(f"precondition failed: {exc}\n")
         return EXIT_PRECONDITION
     except (CoveringError, TruncationError, GeometryError) as exc:
         sys.stderr.write(f"internal check failed: {exc}\n")
         return EXIT_INTERNAL
-    emit(report, config.fmt, config.out)
+    except OSError as exc:
+        # input files are read through loaders that raise ParameterError,
+        # so what is left is --out or --dump-samples
+        target = exc.filename or "stdout"
+        sys.stderr.write(f"config error: cannot write {target}: {exc.strerror}\n")
+        return EXIT_CONFIG
     return status
 
 

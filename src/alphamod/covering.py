@@ -7,7 +7,10 @@ coordinates y = psi(xi) = xi <xi>^{-alpha}, where the covering becomes a
 perturbed unit lattice; this makes the partition-of-unity, support and
 plateau properties exact by construction and uniform in k, with constants
 resolved per alpha from the measured minimal lattice gap and validated at
-build time.
+build time.  One builder serves n = 1 and n = 2: it warps the grid once,
+takes each window's candidate bins from a per-axis box that holds its
+support, keeps the bins of positive value, and checks the window sum and
+every usable window's bins in both dimensions.
 
 alpha = 1 uses the dyadic annuli of the classical Littlewood-Paley
 decomposition instead (a radial bump equal to 1 on |xi| <= 4/3 and
@@ -17,6 +20,7 @@ supported in |xi| < 3/2, differenced across octaves).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -43,7 +47,7 @@ def smooth_step(t):
     lo = t <= 0.0
     hi = t >= 1.0
     mid = ~(lo | hi)
-    out = np.zeros_like(t)
+    out = np.zeros(t.shape)
     out[hi] = 1.0
     tm = t[mid]
     a = np.exp(-1.0 / tm)
@@ -72,6 +76,18 @@ def warp_radius(rho, alpha: float):
     """|y| as a function of |xi| (monotone increasing for alpha < 1)."""
     rho = np.asarray(rho, dtype=float)
     return rho * (1.0 + rho * rho) ** (-alpha / 2.0)
+
+
+def _norm(point) -> float:
+    """Euclidean norm of one point; 1-D points are bare floats."""
+    return abs(point) if isinstance(point, float) else float(np.linalg.norm(point))
+
+
+def _distances(points: np.ndarray, center) -> np.ndarray:
+    """Euclidean distances to center of points stored one per row (bare
+    scalars for n = 1)."""
+    d = points - center
+    return np.abs(d) if d.ndim == 1 else np.linalg.norm(d, axis=-1)
 
 
 def warp_radius_inv(y: float, alpha: float) -> float:
@@ -326,35 +342,19 @@ class IndexSet:
     alphas: tuple
 
 
-def _interval_overlap(a, b) -> bool:
-    return a[0] < b[1] and b[0] < a[1]
+def _lattice_box(center: tuple, reach: int) -> list:
+    """Lattice points within sup-distance reach of center, in lexicographic
+    order; plain ints in one dimension."""
+    points = itertools.product(*(range(c - reach, c + reach + 1) for c in center))
+    return [p[0] for p in points] if len(center) == 1 else list(points)
 
 
-def _interval_inside(inner, outer) -> bool:
-    return outer[0] <= inner[0] and inner[1] <= outer[1]
-
-
-def _lambda_members_1d(cov: Covering, k: int) -> set:
-    sup_k = cov.support_interval(k)
-    members = {k}
-    for step in (1, -1):
-        l = k + step
-        while _interval_overlap(cov.support_interval(l), sup_k):
-            members.add(l)
-            l += step
-    return members
-
-
-def _lambda_members_nd(cov: Covering, k: tuple) -> set:
-    yk = np.asarray(cov.lattice_image(k), dtype=float)
-    members = set()
+def _lambda_members(cov: Covering, k: Index) -> set:
+    """Windows whose warped support balls meet that of window k."""
+    yk = cov.lattice_image(k)
     reach = int(math.ceil(2 * cov.r0 / 0.8)) + 1
-    for off in np.ndindex(*(2 * reach + 1,) * cov.n):
-        l = tuple(int(k[i] + off[i] - reach) for i in range(cov.n))
-        yl = np.asarray(cov.lattice_image(l), dtype=float)
-        if float(np.linalg.norm(yl - yk)) < 2 * cov.r0:
-            members.add(l)
-    return members
+    return {l for l in _lattice_box(k if cov.n > 1 else (k,), reach)
+            if _norm(cov.lattice_image(l) - yk) < 2 * cov.r0}
 
 
 def _scan_gamma_1d(cov_l: Covering, target, predicate) -> set:
@@ -384,7 +384,9 @@ def neighbor_set(relation: str, anchor: Index, alphas, spec=None) -> IndexSet:
     Lambda / LambdaStar take a single alpha; Gamma / GammaTilde take
     (alpha1, alpha2) and collect the alpha1-windows whose supports meet
     (Gamma) or lie inside the exact-one region of (GammaTilde) the anchor
-    window of the alpha2 covering.  Exact interval arithmetic for n = 1.
+    window of the alpha2 covering.  Lambda sets compare warped centre
+    distances in any dimension; Gamma sets use exact interval arithmetic
+    and are one-dimensional.
     """
     if relation not in _RELATIONS:
         raise ParameterError(f"unknown relation {relation!r}; expected one of {_RELATIONS}")
@@ -396,14 +398,11 @@ def neighbor_set(relation: str, anchor: Index, alphas, spec=None) -> IndexSet:
         alpha = float(alphas)
         base = spec if isinstance(spec, CoveringSpec) else CoveringSpec(alpha=alpha, n=_dim_of(anchor))
         cov = covering_for(base)
-        lambda_of = _lambda_members_1d if cov.n == 1 else _lambda_members_nd
-        lam = lambda_of(cov, int(anchor) if cov.n == 1 else tuple(anchor))
-        if relation == "Lambda":
-            members = lam
-        else:
-            members = set().union(*(lambda_of(cov, m) for m in lam))
-        _check_truncation(members, base.k_max)
-        return IndexSet(relation=relation, anchor=anchor, members=frozenset(members),
+        lam = _lambda_members(cov, int(anchor) if cov.n == 1 else tuple(anchor))
+        if relation == "LambdaStar":
+            lam = set().union(*(_lambda_members(cov, m) for m in lam))
+        _check_truncation(lam, base.k_max)
+        return IndexSet(relation=relation, anchor=anchor, members=frozenset(lam),
                         alphas=(alpha,))
 
     if single:
@@ -417,10 +416,10 @@ def neighbor_set(relation: str, anchor: Index, alphas, spec=None) -> IndexSet:
     cov1, cov2 = covering_for(spec1), covering_for(spec2)
     if relation == "Gamma":
         target = cov2.support_interval(int(anchor))
-        members = _scan_gamma_1d(cov1, target, lambda s: _interval_overlap(s, target))
+        members = _scan_gamma_1d(cov1, target, lambda s: s[0] < target[1] and target[0] < s[1])
     else:
         target = cov2.exact_one_interval(int(anchor))
-        members = _scan_gamma_1d(cov1, target, lambda s: _interval_inside(s, target))
+        members = _scan_gamma_1d(cov1, target, lambda s: target[0] <= s[0] and s[1] <= target[1])
     _check_truncation(members, spec1.k_max)
     return IndexSet(relation=relation, anchor=anchor, members=frozenset(members),
                     alphas=(a1, a2))
@@ -462,9 +461,13 @@ def _check_truncation(members, k_max):
     if k_max is None:
         return
     for m in members:
-        if np.max(np.abs(m)) > k_max:
+        if _sup_norm(m) > k_max:
             raise TruncationError(
-                f"index set reaches |k| = {np.max(np.abs(m))} beyond k_max = {k_max}")
+                f"index set reaches |k| = {_sup_norm(m)} beyond k_max = {k_max}")
+
+
+def _sup_norm(k: Index) -> int:
+    return max(map(abs, k)) if isinstance(k, tuple) else abs(k)
 
 
 # -- sampled partitions ----------------------------------------------------
@@ -594,110 +597,77 @@ def build_partition(spec: CoveringSpec, N: int, L: float) -> Partition:
         raise ParameterError("period L must be positive")
     if spec.alpha == 1:
         return _build_dyadic(spec, N, L)
-    cov = covering_for(spec)
+    return _build_alpha(covering_for(spec), spec, N, L)
+
+
+def _build_alpha(cov: Covering, spec: CoveringSpec, N: int, L: float) -> Partition:
+    n, r0, alpha = cov.n, cov.r0, cov.alpha
     f_nyq = N / (2.0 * L)
-    if cov.n == 1:
-        return _build_alpha_1d(cov, spec, N, L, f_nyq)
-    return _build_alpha_2d(cov, spec, N, L, f_nyq)
 
+    @functools.cache
+    def radii(k):
+        # warped centre, its norm, and the frequency radii between which
+        # the window's support lies
+        yk = cov.lattice_image(k)
+        yn = _norm(yk)
+        return yk, yn, warp_radius_inv(max(yn - r0, 0.0), alpha), warp_radius_inv(yn + r0, alpha)
 
-def _build_alpha_1d(cov: Covering, spec: CoveringSpec, N: int, L: float,
-                    f_nyq: float) -> Partition:
-    # each window's support interval is resolved once; for k >= 1 its upper
-    # end is support_outer_radius(k)
-    interval = functools.cache(cov.support_interval)
     k_fit = 0
-    while interval(k_fit + 1)[1] < f_nyq:
+    while radii(k_fit + 1 if n == 1 else (k_fit + 1, 0))[3] < f_nyq:
         k_fit += 1
     if spec.k_max is not None:
         k_fit = min(k_fit, spec.k_max)
     if k_fit < 1:
         raise GeometryError("grid too small to hold any window beyond the origin")
-    xi = freq_axis(N, L)
-    y = warp(xi, cov.alpha, 1)
-    total = np.zeros(N)
-    # normalize with every window that touches the grid, usable or not
-    k_touch = k_fit
-    while interval(k_touch + 1)[0] < f_nyq and k_touch < k_fit + 64:
-        k_touch += 1
-    cache = {}
-    for k in range(-k_touch, k_touch + 1):
-        lo, hi = interval(k)
-        i0 = int(math.ceil(lo * L))
-        i1 = int(math.floor(hi * L))
-        i0 = max(i0, -N // 2)
-        i1 = min(i1, N // 2 - 1)
-        if i1 < i0:
-            continue
-        idx = np.arange(i0, i1 + 1) % N
-        vals = cov._profile_at(k, y[idx])
+    y = warp(freq_grid(n, N, L), alpha, n)
+    y = y.reshape(N ** n, *y.shape[n:])
+    total = np.zeros(N ** n)
+    usable, edge = [], math.inf
+    # the sums that normalize usable windows need every window meeting one
+    # of them; the lattice gap exceeds the support radius, so two shells
+    # beyond the usable windows hold them all
+    for k in _lattice_box((0,) * n, k_fit + 2):
+        yk, yn, inner, outer = radii(k)
+        # xi = y t(|y|) with t increasing, so each axis of the support lies
+        # between the ball's axis extremes times t at the extremes of |y|
+        t_in = inner / (yn - r0) if yn > r0 else 1.0
+        t_out = outer / (yn + r0)
+        idx = None
+        for c in np.atleast_1d(yk).tolist():
+            lo = min((c - r0) * t_in, (c - r0) * t_out)
+            hi = max((c + r0) * t_in, (c + r0) * t_out)
+            ax = np.arange(max(math.ceil(lo * L) - 1, -N // 2),
+                           min(math.floor(hi * L) + 1, N // 2 - 1) + 1) % N
+            # 2-D bins in ascending flat order, as a scan of the whole grid
+            # lists them; 1-D bins in ascending signed order
+            idx = ax if idx is None else np.add.outer(np.sort(idx) * N, np.sort(ax)).ravel()
+        vals = bump_profile(_distances(y[idx], yk), cov.delta, r0)
         keep = vals > 0.0
-        cache[k] = (idx[keep], vals[keep])
-        total[idx[keep]] += vals[keep]
+        idx, vals = idx[keep], vals[keep]
+        total[idx] += vals
+        if _sup_norm(k) <= k_fit and outer < f_nyq:
+            usable.append((k, idx, vals, outer))
+        else:
+            # safe radius: nearest non-usable window's inner support edge
+            edge = min(edge, max(yn - r0, 0.0))
     if float(total.min()) < _SUM_FLOOR:
         # only a problem where usable windows live; check inside their reach
-        inside = np.abs(xi) <= interval(k_fit)[1]
+        inside = freq_radius(n, N, L) <= max(w[3] for w in usable)
         if float(total[inside].min()) < _SUM_FLOOR:
             raise CoveringError("window sum dipped below floor: constants too small")
     members = []
-    for k in range(-k_fit, k_fit + 1):
-        if k not in cache:
+    for k, idx, vals, outer in usable:
+        if not idx.size:
             raise GeometryError(
                 f"window {k} holds no grid bin: frequency spacing {1.0 / L:g} "
-                f"is too coarse for alpha = {cov.alpha:g}")
-        idx, vals = cache[k]
-        center, scale = ball_geometry(k, cov.alpha)
-        lo, hi = interval(k)
+                f"is too coarse for alpha = {alpha:g}")
+        center, scale = ball_geometry(k, alpha)
         members.append(PartitionMember(
             kind="alpha_window", index=k, center=center, scale=scale,
-            support_radius=max(hi - center, center - lo),
+            support_radius=outer - _norm(center),
             idx=idx, values=vals / total[idx], grid_N=N, grid_L=L))
-    return Partition(kind="alpha", alpha=cov.alpha, n=1, N=N, L=L,
-                     safe_radius=min(interval(k_fit + 1)[0], f_nyq), members=members,
-                     covering=cov, spec=spec)
-
-
-def _build_alpha_2d(cov: Covering, spec: CoveringSpec, N: int, L: float,
-                    f_nyq: float) -> Partition:
-    xi = freq_grid(2, N, L).reshape(-1, 2)
-    y = warp(xi, cov.alpha, 2)
-    k_reach = 1
-    while cov.support_outer_radius((k_reach + 1, 0)) < f_nyq:
-        k_reach += 1
-    if spec.k_max is not None:
-        k_reach = min(k_reach, spec.k_max)
-    total = np.zeros(N * N)
-    windows = {}
-    # safe radius: nearest non-usable window's inner support edge
-    edge = math.inf
-    shells = range(-k_reach - 2, k_reach + 3)
-    for kx in shells:
-        for ky in shells:
-            k = (kx, ky)
-            yk = cov.lattice_image(k)
-            yn = float(np.linalg.norm(yk))
-            r = np.linalg.norm(y - yk, axis=-1)
-            idx = np.nonzero(r < cov.r0)[0]
-            if idx.size:
-                vals = bump_profile(r[idx], cov.delta, cov.r0)
-                total[idx] += vals
-                if max(abs(kx), abs(ky)) <= k_reach:
-                    outer = warp_radius_inv(yn + cov.r0, cov.alpha)
-                    if outer < f_nyq:
-                        windows[k] = (idx, vals, outer)
-                        continue
-            edge = min(edge, max(yn - cov.r0, 0.0))
-    members = []
-    for k, (idx, vals, outer) in windows.items():
-        center, scale = ball_geometry(k, cov.alpha)
-        cn = float(np.linalg.norm(center))
-        members.append(PartitionMember(
-            kind="alpha_window", index=k, center=np.asarray(center), scale=scale,
-            support_radius=outer - cn if cn > 0 else outer,
-            idx=idx, values=vals / total[idx], grid_N=N, grid_L=L))
-    safe_radius = warp_radius_inv(edge, cov.alpha) if edge < math.inf else f_nyq
-    return Partition(kind="alpha", alpha=cov.alpha, n=2, N=N, L=L,
-                     safe_radius=min(safe_radius, f_nyq), members=members,
+    return Partition(kind="alpha", alpha=alpha, n=n, N=N, L=L,
+                     safe_radius=min(warp_radius_inv(edge, alpha), f_nyq), members=members,
                      covering=cov, spec=spec)
 
 
@@ -758,32 +728,23 @@ class PartitionReport:
 
 def verify_partition(partition: Partition) -> PartitionReport:
     """Numerical health report: sum-to-one, overlap, support, derivative scaling."""
-    xi = freq_grid(partition.n, partition.N, partition.L)
-    safe = freq_radius(partition.n, partition.N, partition.L) < partition.safe_radius
-    size = partition.N ** partition.n
-    total = np.zeros(size)
-    overlap = np.zeros(size, dtype=int)
+    n, N = partition.n, partition.N
+    xi = freq_grid(n, N, partition.L)
+    xi = xi.reshape(N ** n, *xi.shape[n:])
+    safe = freq_radius(n, N, partition.L) < partition.safe_radius
+    total = np.zeros(N ** n)
+    overlap = np.zeros(N ** n, dtype=int)
     leakage = 0.0
     grad_bounds = []
     dxi = 1.0 / partition.L
     for m in partition.members:
         total[m.idx] += m.values
         overlap[m.idx] += m.values > 1e-14
-        if partition.n == 1:
-            centered = xi.reshape(-1)[m.idx] - m.center
-        else:
-            centered = np.linalg.norm(xi.reshape(-1, 2)[m.idx] - np.asarray(m.center),
-                                      axis=-1)
-        out = np.abs(centered) > m.support_radius + 1.5 * dxi
+        out = _distances(xi[m.idx], m.center) > m.support_radius + 1.5 * dxi
         if out.any():
             leakage = max(leakage, float(np.max(np.abs(m.values[out]))))
-        dense = m.dense(size)
-        if partition.n == 1:
-            grad = float(np.max(np.abs(np.diff(np.fft.fftshift(dense))))) / dxi
-        else:
-            d2 = np.fft.fftshift(dense.reshape(partition.N, partition.N))
-            grad = max(float(np.abs(np.diff(d2, axis=0)).max()),
-                       float(np.abs(np.diff(d2, axis=1)).max())) / dxi
+        dense = np.fft.fftshift(m.dense(N ** n).reshape((N,) * n))
+        grad = max(float(np.abs(np.diff(dense, axis=a)).max()) for a in range(n)) / dxi
         grad_bounds.append(grad * m.scale)
     grad_bounds = np.asarray(grad_bounds)
     positive = grad_bounds[grad_bounds > 1e-12]

@@ -49,8 +49,8 @@ class GridFunction:
             raise ParameterError("grids support n in {1, 2}")
         if self.N & (self.N - 1) or self.N <= 0:
             raise ParameterError("N must be a power of two")
-        if self.L <= 0:
-            raise ParameterError("period L must be positive")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ParameterError("period L must be positive and finite")
         vals = np.asarray(self.values, dtype=complex)
         expected = (self.N,) * self.n
         if vals.shape != expected:
@@ -200,9 +200,10 @@ def weighted_lq(values, rq, weights=None) -> float:
         return float(vals.max())
     with np.errstate(over="ignore"):
         total = np.sum(vals ** (1.0 / rq))
-    if math.isinf(total) and np.isfinite(vals).all():
-        # the power sum overflowed: sum the values over their maximum instead
-        top = vals.max()
+    top = vals.max()
+    if (math.isinf(total) or total == 0.0) and top > 0.0 and np.isfinite(vals).all():
+        # the power sum overflowed, or underflowed to 0 for a nonzero
+        # sequence: sum the values over their maximum instead
         return float(top * np.sum((vals / top) ** (1.0 / rq)) ** rq)
     return float(total ** rq)
 
@@ -453,16 +454,25 @@ def save_grid_function(f: GridFunction, path: str):
 
 
 def load_grid_function(path: str) -> GridFunction:
-    with open(path, "rb") as fh:
-        magic, version, n, N = struct.unpack("<4sIII", fh.read(16))
-        if magic != _MAGIC:
-            raise ParameterError(f"not a grid dump: bad magic {magic!r}")
-        if version != _VERSION:
-            raise ParameterError(f"unsupported dump version {version}")
-        (L,) = struct.unpack("<d", fh.read(8))
-        inter = np.frombuffer(fh.read(), dtype="<f8")
-    if inter.size != 2 * N ** n:
+    """Read a binary dump; an unreadable or malformed file is a ParameterError."""
+    try:
+        with open(path, "rb") as fh:
+            magic, version, n, N = struct.unpack("<4sIII", fh.read(16))
+            if magic != _MAGIC:
+                raise ParameterError(f"not a grid dump: bad magic {magic!r}")
+            if version != _VERSION:
+                raise ParameterError(f"unsupported dump version {version}")
+            (L,) = struct.unpack("<d", fh.read(8))
+            payload = fh.read()
+    except OSError as exc:
+        raise ParameterError(f"cannot read {path}: {exc.strerror}") from None
+    except struct.error:
+        raise ParameterError(f"{path}: grid dump header is truncated") from None
+    if n not in (1, 2):
+        raise ParameterError(f"grid dump header gives n = {n}; grids support n in {{1, 2}}")
+    if len(payload) != 16 * N ** n:
         raise ParameterError("payload size does not match header")
+    inter = np.frombuffer(payload, dtype="<f8")
     vals = inter[0::2] + 1j * inter[1::2]
     return GridFunction(n, N, L, vals.reshape((N,) * n))
 
@@ -475,7 +485,16 @@ def save_grid_function_csv(f: GridFunction, path: str):
 
 
 def load_grid_function_csv(path: str, L: Optional[float] = None) -> GridFunction:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    """Read 'x,re,im' rows after one header line; an unreadable or
+    malformed file is a ParameterError."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except OSError as exc:
+        raise ParameterError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ParameterError(f"{path}: malformed CSV: {exc}") from None
+    if data.shape[0] < 2 or data.shape[1] != 3:
+        raise ParameterError(f"{path}: expected at least two rows of x,re,im")
     x, re, im = data[:, 0], data[:, 1], data[:, 2]
     N = len(x)
     if L is None:

@@ -172,6 +172,10 @@ class TestGrowthRateCheck:
         with pytest.raises(ParameterError):
             growth_rate_check(sp(1, 0, 0, 0), sp(0, 0, 0, 1), range(4, 9))
 
+    def test_empty_octave_range(self):
+        with pytest.raises(ParameterError, match="empty"):
+            growth_rate_check(sp(1, 0, 0, 0), sp(0, 0, 0, 0.5), range(9, 5))
+
     def test_repeat_after_cache_clear_is_identical(self):
         # shared coverings and memoised plateau fractions carry no state
         # into a second sweep beyond the values a cold sweep computes

@@ -1,7 +1,9 @@
 """Command-line surface: parsing, reports, exit codes, determinism."""
 
 import json
+import math
 import random
+import struct
 
 import pytest
 
@@ -210,6 +212,21 @@ class TestExitCodes:
         assert status == EXIT_INTERNAL
         assert "holds no grid bin" in err
 
+    def test_window_between_grid_bins_two_dim(self, capsys):
+        # the same spacing leaves 2-D windows of radius 0.84 empty too
+        status, out, err = invoke(["covering", "--alpha", "0", "--n", "2",
+                                   "--grid", "64,0.5"], capsys)
+        assert status == EXIT_INTERNAL
+        assert out == "" and "holds no grid bin" in err
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_grid_too_small_for_first_window(self, capsys, n):
+        # Nyquist frequency 1 lies inside the support of window 1, or (1, 0)
+        status, out, err = invoke(["covering", "--alpha", "0", "--n", n,
+                                   "--grid", "4,2"], capsys)
+        assert status == EXIT_INTERNAL
+        assert out == "" and "grid too small" in err
+
 
 class TestRejectedInputs:
     """Inputs that used to end in a traceback, exit 0 on NaN, or the wrong
@@ -265,6 +282,43 @@ class TestRejectedInputs:
             main(argv)
         assert exc.value.code == EXIT_CONFIG
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["missing.bin", "truncated.bin", "nan_period.bin",
+                                      "missing.csv", "short_rows.csv", "not_numbers.csv"])
+    def test_bad_input_file(self, tmp_path, capsys, name):
+        from alphamod.grids import builtin_function, save_grid_function
+
+        path = tmp_path / name
+        if name.endswith(".bin") and name != "missing.bin":
+            save_grid_function(builtin_function("bump", 1, 64, 8.0), str(path))
+            data = path.read_bytes()
+            if name == "truncated.bin":
+                path.write_bytes(data[:20])
+            else:
+                path.write_bytes(data[:16] + struct.pack("<d", math.nan) + data[24:])
+        elif name == "short_rows.csv":
+            path.write_text("x,re,im\n0,1\n0.5,1\n")
+        elif name == "not_numbers.csv":
+            path.write_text("x,re,im\n0,1,zero\n0.5,1,0\n")
+        status, out, err = invoke(["normcalc", "--source", "p=2,q=2,s=0,alpha=0",
+                                   "--input", str(path)], capsys)
+        assert status == EXIT_PRECONDITION
+        assert out == "" and (str(path) in err or "finite" in err)
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-samples"])
+    def test_unwritable_output_path(self, tmp_path, capsys, flag):
+        path = tmp_path / "missing" / "report"
+        status, out, err = invoke(["covering", "--alpha", "0", "--grid", "1024,8",
+                                   flag, str(path)], capsys)
+        assert status == EXIT_CONFIG
+        assert out == "" and "cannot write" in err and str(path) in err
+
+    def test_empty_octave_range(self, capsys):
+        status, out, err = invoke(["verify-asymptotics", "--source", "p=1,q=inf,s=0,alpha=0",
+                                   "--target", "p=inf,q=inf,s=0,alpha=1/2",
+                                   "--j-range", "9:4"], capsys)
+        assert status == EXIT_CONFIG
+        assert out == "" and "empty" in err
 
     def test_index_dimension_mismatch(self, capsys):
         status, out, err = invoke(["index", "--source", "p=2,q=2,s=0,alpha=0,n=1",

@@ -205,6 +205,20 @@ def _reference_build_2d(spec, N, L):
                      covering=cov, spec=spec)
 
 
+def _positive_bins(part):
+    """part without its bins of value exactly 0.0."""
+    members = []
+    for m in part.members:
+        keep = m.values != 0.0
+        members.append(PartitionMember(
+            kind=m.kind, index=m.index, center=m.center, scale=m.scale,
+            support_radius=m.support_radius, idx=m.idx[keep], values=m.values[keep],
+            grid_N=m.grid_N, grid_L=m.grid_L))
+    return Partition(kind=part.kind, alpha=part.alpha, n=part.n, N=part.N, L=part.L,
+                     safe_radius=part.safe_radius, members=members,
+                     covering=part.covering, spec=part.spec)
+
+
 def _assert_same_build(spec, N, L, reference):
     try:
         want = reference(spec, N, L)
@@ -229,7 +243,9 @@ _BUILD_ALPHAS = [0.0, 1 / 4, 1 / 3, 1 / 2, 3 / 4, 0.9]
 
 
 class TestBuilderBitIdentity:
-    """build_partition equals the per-window builders bit for bit."""
+    """build_partition equals the per-window builders bit for bit, except
+    that it keeps only bins of positive value: the 2-D full-grid scan also
+    kept bins inside the support whose profile underflows to 0.0."""
 
     @pytest.mark.parametrize("alpha", _BUILD_ALPHAS)
     @pytest.mark.parametrize("grid", [(4096, 2.0, None), (2 ** 16, 61.38107416879879, None),
@@ -242,7 +258,19 @@ class TestBuilderBitIdentity:
     @pytest.mark.parametrize("alpha", _BUILD_ALPHAS)
     @pytest.mark.parametrize("grid", [(64, 1.0), (128, 2.0)])
     def test_two_dim(self, alpha, grid):
-        _assert_same_build(CoveringSpec(alpha=alpha, n=2), *grid, _reference_build_2d)
+        full = []
+
+        def reference(spec, N, L):
+            full.append(_reference_build_2d(spec, N, L))
+            return _positive_bins(full[0])
+
+        spec = CoveringSpec(alpha=alpha, n=2)
+        _assert_same_build(spec, *grid, reference)
+        if full:
+            # every reference bin the builder left out holds exactly 0.0
+            got = build_partition(spec, *grid)
+            for m, r in zip(got.members, full[0].members):
+                assert np.all(r.values[~np.isin(r.idx, m.idx)] == 0.0)
 
 
 class TestSharedCovering:
@@ -425,6 +453,37 @@ class TestNeighborSets:
         spec = CoveringSpec(alpha=0.0, n=1, k_max=3)
         with pytest.raises(TruncationError):
             neighbor_set("Lambda", 3, 0.0, spec)
+
+
+def _reference_lambda_1d(cov, k):
+    """Lambda by support-interval overlap, scanning outwards from k until
+    the first window that misses."""
+    def overlap(a, b):
+        return a[0] < b[1] and b[0] < a[1]
+
+    sup_k = cov.support_interval(k)
+    members = {k}
+    for step in (1, -1):
+        l = k + step
+        while overlap(cov.support_interval(l), sup_k):
+            members.add(l)
+            l += step
+    return members
+
+
+class TestLambdaReference:
+    """The warped-distance scan gives the interval-overlap sets in 1-D."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 1 / 4, 1 / 3, 1 / 2, 3 / 4, 0.8])
+    def test_matches_interval_overlap(self, alpha):
+        cov = covering_for(CoveringSpec(alpha=alpha, n=1))
+        want = {k: _reference_lambda_1d(cov, k) for k in range(-304, 305)}
+        for k in range(-300, 301):
+            lam = neighbor_set("Lambda", k, alpha).members
+            assert lam == want[k]
+            assert all(type(l) is int for l in lam)
+            star = neighbor_set("LambdaStar", k, alpha).members
+            assert star == set().union(*(want[l] for l in want[k]))
 
 
 class TestSampledGamma:

@@ -241,6 +241,12 @@ class TestSequenceNorm:
             assert got == 1.7320508075688773e200
             assert weighted_lq([3.0, 4.0], 0.5) == 5.0
 
+    def test_power_sum_underflow(self):
+        # (1e-200) ** 2 underflows to 0, the norm sqrt(2) * 1e-200 does not
+        got = sequence_norm({0: 1e-200, 1: 1e-200}, 0, Fraction(1, 2), 0)
+        assert got == 1.4142135623730951e-200
+        assert weighted_lq([0.0, 0.0], 0.5) == 0.0
+
     def test_dyadic_telescoping_sup(self):
         lam = {j: 2.0 ** (-j) for j in range(11)}
         assert sequence_norm(lam, 1.0, 0.0, 1.0) == pytest.approx(1.0)
