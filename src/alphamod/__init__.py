@@ -33,12 +33,10 @@ from .grids import (
     box_apply,
     builtin_function,
     coarse_norm,
-    fourier_transform,
     lp_quasinorm,
     sequence_norm,
     space_norm,
     witness_bump,
-    witness_spread,
 )
 from .indices import (
     EmbeddingVerdict,

@@ -35,7 +35,6 @@ from .grids import (
     sample_lp,
     smoothness_weights,
     space_norm,
-    spread_positions,
     weighted_lq,
     witness_bump,
 )
@@ -47,6 +46,7 @@ WITNESS_SPREAD = "spread"
 WITNESS_MONTECARLO = "montecarlo"
 
 SLOPE_TOLERANCE = 0.15
+# the most grid points any one measurement may sample; read at call time
 DEFAULT_BUDGET = 2 ** 16
 
 
@@ -170,10 +170,9 @@ class LabGrid:
 
 
 def plan_grid(source: SpaceParams, target: SpaceParams, k: int, *,
-              budget: int = DEFAULT_BUDGET,
               l_fine: Optional[int] = None) -> Optional[LabGrid]:
     """Choose (N, L) so the single-bump witnesses anchored at window k fit;
-    None if the budget cannot accommodate them."""
+    None if DEFAULT_BUDGET points cannot accommodate them."""
     a1, a2 = float(source.alpha), float(target.alpha)
     a, b = min(a1, a2), max(a1, a2)
     cov_b, cov_a = lab_covering(b), lab_covering(a)
@@ -189,10 +188,10 @@ def plan_grid(source: SpaceParams, target: SpaceParams, k: int, *,
         widths.append(1.0 / (frac_a * scale_l))
     L = max(16.0, 12.0 * max(widths))
     N = _next_pow2(2.0 * L * reach)
-    while N > budget and L > 18.0:
+    while N > DEFAULT_BUDGET and L > 18.0:
         L *= 0.75
         N = _next_pow2(2.0 * L * reach)
-    if N > budget:
+    if N > DEFAULT_BUDGET:
         return None
     while True:
         partitions = {x: partition_for(x, N, L) for x in (a1, a2)}
@@ -202,12 +201,11 @@ def plan_grid(source: SpaceParams, target: SpaceParams, k: int, *,
         if satisfied:
             return LabGrid(N=N, L=L, partitions=partitions)
         N *= 2
-        if N > budget:
+        if N > DEFAULT_BUDGET:
             return None
 
 
-def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams, *,
-                  budget: int = DEFAULT_BUDGET) -> Optional[float]:
+def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams) -> Optional[float]:
     """Norm ratio of the translated-sum witness, measured in demodulated
     coordinates.
 
@@ -244,11 +242,10 @@ def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams, *,
         band = max(abs(geo[l][0] - c_ref) + frac * geo[l][1] for l in members)
         band = band * 1.05 + 8.0 / L + 0.5
         N = _next_pow2(2.0 * L * band)
-        if N > budget:
+        if N > DEFAULT_BUDGET:
             return None
         xi = np.fft.fftfreq(N, d=L / N) + c_ref
-        positions = spread_positions(count, pitch)
-        return N, L, xi, bump_train(xi, [geo[l] for l in members], positions, frac)
+        return N, L, xi, bump_train(xi, [geo[l] for l in members], pitch, frac)
 
     def measure(built) -> float:
         N, L, xi, total = built
@@ -307,7 +304,7 @@ def _norm_ratio(f: GridFunction, member, source: SpaceParams, target: SpaceParam
 
 
 def box_opnorm_lower(k: int, source: SpaceParams, target: SpaceParams,
-                     grid: LabGrid, *, budget: int = DEFAULT_BUDGET) -> list:
+                     grid: LabGrid) -> list:
     """Witness-function lower bounds for the localized operator norm at k.
 
     Produces one sample per witness family; the spread witness runs on its
@@ -340,7 +337,7 @@ def box_opnorm_lower(k: int, source: SpaceParams, target: SpaceParams,
                                                     part_1, part_2),
                             eff_logscale=eff))
 
-    val = _spread_ratio(k, source, target, budget=budget)
+    val = _spread_ratio(k, source, target)
     if val is not None:
         out.append(OpNormSample(j=j, k=k, witness=WITNESS_SPREAD,
                                 lower_bound=val, eff_logscale=eff))
@@ -409,7 +406,7 @@ _WITNESS_TERM = {WITNESS_UNIFORM: 0, WITNESS_CONCENTRATED: 1, WITNESS_SPREAD: 2}
 
 
 def growth_rate_check(source: SpaceParams, target: SpaceParams, j_range, *,
-                      budget: int = DEFAULT_BUDGET, seed: int = 0) -> dict:
+                      seed: int = 0) -> dict:
     """Sweep the localized-norm lower bounds over octaves and compare the
     fitted growth slopes with the closed-form index."""
     if float(source.rq) != float(target.rq):
@@ -432,12 +429,12 @@ def growth_rate_check(source: SpaceParams, target: SpaceParams, j_range, *,
     for j in js:
         k = anchor_for_octave(j, b)
         l_fine = matched_fine_index(k, a, b)
-        grid = plan_grid(source, target, k, budget=budget, l_fine=l_fine)
+        grid = plan_grid(source, target, k, l_fine=l_fine)
         if grid is None:
             skipped.append({"j": j, "reason": "grid budget"})
             continue
         try:
-            got = box_opnorm_lower(k, source, target, grid, budget=budget)
+            got = box_opnorm_lower(k, source, target, grid)
             samples.extend(got)
             if not any(s.witness == WITNESS_SPREAD for s in got):
                 skipped.append({"j": j, "reason": "spread witness unavailable"})
@@ -543,8 +540,7 @@ BOUNDARY_MARGIN = 0.2
 
 
 def embedding_consistency_check(source: SpaceParams, target: SpaceParams,
-                                truncation: int = 32, *, budget: int = DEFAULT_BUDGET,
-                                seed: int = 0) -> dict:
+                                truncation: int = 32, *, seed: int = 0) -> dict:
     """Compare truncated multiplier norms of measured localized-norm
     sequences against the closed-form embedding verdict.
 
@@ -565,17 +561,17 @@ def embedding_consistency_check(source: SpaceParams, target: SpaceParams,
     lower = {}
     for k in range(0, truncation + 1):
         if k == 0:
-            grid = plan_grid(source, target, 1, budget=budget)
+            grid = plan_grid(source, target, 1)
             if grid is None:
                 raise GeometryError("budget too small for the base grid")
             f = witness_bump(0, b, grid.partition(b))
             lower[0] = _norm_ratio(f, grid.partition(b).member(0), source, target,
                                    grid.partition(a1), grid.partition(a2))
             continue
-        grid = plan_grid(source, target, k, budget=budget)
+        grid = plan_grid(source, target, k)
         if grid is None:
             break
-        samples = box_opnorm_lower(k, source, target, grid, budget=budget)
+        samples = box_opnorm_lower(k, source, target, grid)
         lower[k] = max(s.lower_bound for s in samples)
     k_avail = max(lower)
     if k_avail < 4:
@@ -617,10 +613,11 @@ def embedding_consistency_check(source: SpaceParams, target: SpaceParams,
 # -- coarse-norm equivalence ---------------------------------------------------
 
 def coarse_norm_ratio_check(params: SpaceParams, alpha2, trials: int = 20, *,
-                            N: int = 2 ** 12, L: float = 8.0, seed: int = 0) -> dict:
+                            seed: int = 0) -> dict:
     """Ratio statistics between the two-layer norm and the direct norm."""
     from .grids import coarse_norm
 
+    N, L = 2 ** 12, 8.0
     a1, a2 = float(params.alpha), float(alpha2)
     if a1 > a2:
         raise ParameterError("requires alpha1 <= alpha2")
@@ -646,8 +643,7 @@ def coarse_norm_ratio_check(params: SpaceParams, alpha2, trials: int = 20, *,
 
 # -- dilation necessity --------------------------------------------------------
 
-def dilation_necessity_check(rp1, rp2, n: int = 1, *, N: int = 2 ** 9,
-                             L: float = 512.0, levels: int = 5) -> dict:
+def dilation_necessity_check(rp1, rp2, n: int = 1) -> dict:
     """Slope of log norm-ratio under spectral shrinking.
 
     The ratio ||h_lam||_{p2} / ||h_lam||_{p1} scales like lam^{n(1/p1-1/p2)}
@@ -656,6 +652,7 @@ def dilation_necessity_check(rp1, rp2, n: int = 1, *, N: int = 2 ** 9,
     """
     from .covering import bump_profile, freq_radius
 
+    N, L, levels = 2 ** 9, 512.0, 5
     rp1f, rp2f = float(rp1), float(rp2)
     base_radius = 0.5
     lams = []

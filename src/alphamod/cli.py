@@ -55,6 +55,9 @@ EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
+# sampled grids hold at most this many points (N^n); 2-D at 1024 per axis
+MAX_GRID_POINTS = 2 ** 20
+
 
 def parse_space(text: str, n: int = 1) -> SpaceParams:
     """Parse 'p=2,q=inf,s=1/2,alpha=0.5' (or rp=/rq= forms) into parameters."""
@@ -397,6 +400,11 @@ def config_from_args(args) -> RunConfig:
     cfg.fmt = getattr(args, "format", "json")
     if getattr(args, "grid", None):
         cfg.N, cfg.L = parse_grid(args.grid)
+    sampled = args.command == "covering" or (args.command == "normcalc" and not args.input_path)
+    if sampled and cfg.n * math.log2(cfg.N) > math.log2(MAX_GRID_POINTS):
+        raise ParameterError(
+            f"grid {cfg.N},{cfg.L:g} in {cfg.n} dimensions has {cfg.N}^{cfg.n} points, "
+            f"more than 2^20; give a smaller --grid N,L")
     if getattr(args, "alpha_constants", None):
         parts = args.alpha_constants.split(",")
         if len(parts) != 2:

@@ -287,13 +287,9 @@ class Covering:
         self._plateau_fractions[k_probe] = frac
         return frac
 
-    def normalized_window(self, k: int, xi: np.ndarray) -> np.ndarray:
-        """eta_k^alpha at arbitrary frequencies (n = 1): the window profile
-        divided by the full lattice sum of profiles reaching those points."""
-        return next(self.normalized_windows((k,), xi))
-
     def normalized_windows(self, ks, xi: np.ndarray):
-        """Yield eta_k^alpha at xi for each k in ks (n = 1).
+        """Yield eta_k^alpha at xi for each k in ks (n = 1): the window
+        profile divided by the full lattice sum of profiles reaching xi.
 
         The lattice sum of profiles is formed once for all of ks; each
         window's profile is evaluated again when it is yielded, so memory

@@ -2,10 +2,11 @@
 
 Functions live on the uniform grid over [0, L)^n with N samples per axis;
 their spectra live on the lattice (1/L) Z^n inside the Nyquist band
-[-N/(2L), N/(2L))^n in fft layout.  The forward transform carries the
-quadrature weight (L/N)^n so that a pure tone of frequency m/L transforms
-to a spike of height L^n, matching the continuum normalization, and
-Parseval holds with spectral quadrature weight (1/L)^n.
+[-N/(2L), N/(2L))^n in fft layout.  The transform pair `spectrum` /
+`from_spectrum` carries the quadrature weight (L/N)^n so that a pure tone
+of frequency m/L transforms to a spike of height L^n, matching the
+continuum normalization, and Parseval holds with spectral quadrature
+weight (1/L)^n.  Witnesses are single-window bumps and bump trains.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from .covering import (
     ball_geometry,
     freq_grid,
     freq_radius,
+    # unused here; bench/spans.py traces neighbor_set at this name as well
     neighbor_set,
     window_base,
 )
-from .errors import DomainError, GeometryError, ParameterError, TruncationError
+from .errors import DomainError, ParameterError, TruncationError
 from .indices import SpaceParams
 
 Index = Union[int, tuple]
@@ -42,7 +44,6 @@ class GridFunction:
     L: float
     values: np.ndarray
     band_limit: Optional[float] = None
-    domain: str = "space"  # "space" | "freq"
 
     def __post_init__(self):
         if self.n not in (1, 2):
@@ -66,11 +67,6 @@ class GridFunction:
     def x_axis(self) -> np.ndarray:
         return np.arange(self.N) * self.cell
 
-    def with_values(self, values, band_limit=None, domain=None) -> "GridFunction":
-        return GridFunction(self.n, self.N, self.L, values,
-                            band_limit=self.band_limit if band_limit is None else band_limit,
-                            domain=self.domain if domain is None else domain)
-
 
 def _check_same_grid(a: GridFunction, b_n: int, b_N: int, b_L: float):
     if (a.n, a.N) != (b_n, b_N) or abs(a.L - b_L) > 1e-12 * max(1.0, b_L):
@@ -78,25 +74,8 @@ def _check_same_grid(a: GridFunction, b_n: int, b_N: int, b_L: float):
             f"grid mismatch: ({a.n}, {a.N}, {a.L}) vs ({b_n}, {b_N}, {b_L})")
 
 
-def fourier_transform(f: GridFunction, direction: str = "forward") -> GridFunction:
-    """Discrete transform with continuum scaling; exact round trip."""
-    if direction == "forward":
-        if f.domain != "space":
-            raise ParameterError("forward transform expects a space-domain function")
-        spec = np.fft.fftn(f.values) * (f.L / f.N) ** f.n
-        return f.with_values(spec, domain="freq")
-    if direction == "inverse":
-        if f.domain != "freq":
-            raise ParameterError("inverse transform expects a frequency-domain function")
-        vals = np.fft.ifftn(f.values) * (f.N / f.L) ** f.n
-        return f.with_values(vals, domain="space")
-    raise ParameterError(f"unknown direction {direction!r}")
-
-
 def spectrum(f: GridFunction) -> np.ndarray:
-    """Flat fft-layout spectrum of a space-domain function."""
-    if f.domain != "space":
-        raise ParameterError("spectrum expects a space-domain function")
+    """Flat fft-layout spectrum of f, with continuum scaling."""
     return (np.fft.fftn(f.values) * (f.L / f.N) ** f.n).reshape(-1)
 
 
@@ -319,15 +298,14 @@ def witness_support_fraction(partition: Partition) -> float:
     return _WITNESS_SAFETY * partition.covering.plateau_fraction(128)
 
 
-def witness_bump(l: Index, alpha, partition: Partition, *,
-                 support_fraction: Optional[float] = None) -> GridFunction:
+def witness_bump(l: Index, alpha, partition: Partition) -> GridFunction:
     """Single-window test function: one fixed bump profile, dilated to the
     window scale and modulated to the window center, so its spectrum sits
     inside the plateau of window l."""
     alpha = float(alpha)
     if abs(partition.alpha - alpha) > 1e-12:
         raise ParameterError("partition does not match alpha")
-    frac = support_fraction if support_fraction is not None else witness_support_fraction(partition)
+    frac = witness_support_fraction(partition)
     center, scale = ball_geometry(l, alpha)
     n, N, L = partition.n, partition.N, partition.L
     radius = frac * scale
@@ -343,59 +321,13 @@ def witness_bump(l: Index, alpha, partition: Partition, *,
     return from_spectrum(w_hat.reshape(-1).astype(complex), n, N, L, band_limit=creach)
 
 
-def spread_positions(count: int, pitch: float) -> np.ndarray:
-    """Rank-centered translate positions i*pitch, i = 0 .. count-1."""
-    ranks = np.arange(count, dtype=float) - (count - 1) / 2.0
-    return ranks * pitch
-
-
-def witness_spread(k: int, alpha1, alpha2, partition_fine: Partition, *,
-                   pitch: Optional[float] = None,
-                   support_fraction: Optional[float] = None,
-                   separation: float = 8.0):
-    """Sum of translated single-window bumps over the absorbed index set.
-
-    The bumps live on the finer covering (smaller alpha) inside the plateau
-    of the anchor window k of the coarser covering; translates are spaced
-    by `pitch` so their essential spatial supports do not interact.
-    Returns (GridFunction, members, positions).
-    """
-    a_lo, a_hi = sorted((float(alpha1), float(alpha2)))
-    if a_lo == a_hi:
-        # nothing is strictly absorbed across equal coverings; the sum
-        # degenerates to the anchor's own bump
-        members = [k]
-    else:
-        members = sorted(neighbor_set("GammaTilde", k, (a_lo, a_hi)).members)
-    if not members:
-        raise GeometryError(f"no windows are absorbed by anchor {k}")
-    part = partition_fine
-    if part.n != 1:
-        raise ParameterError("spread witnesses are one-dimensional")
-    frac = support_fraction if support_fraction is not None else witness_support_fraction(part)
-    n, N, L = part.n, part.N, part.L
-    bumps = [ball_geometry(l, part.alpha) for l in members]
-    widths = [1.0 / (frac * scale) for _, scale in bumps]
-    if pitch is None:
-        pitch = separation * max(widths)
-    if len(members) > 1:
-        span = (len(members) - 1) * pitch + separation * max(widths)
-        if span > 0.75 * L:
-            raise GeometryError(
-                f"period {L} too small for {len(members)} translates at pitch {pitch:.3g}")
-    positions = spread_positions(len(members), pitch)
-    reach = max(abs(center) + frac * scale for center, scale in bumps)
-    if reach >= N / (2.0 * L):
-        raise TruncationError("spread witness spectrum escapes the grid window")
-    total = bump_train(freq_grid(n, N, L), bumps, positions, frac)
-    return from_spectrum(total, n, N, L, band_limit=reach), members, positions
-
-
-def bump_train(xi: np.ndarray, bumps, positions, frac: float) -> np.ndarray:
+def bump_train(xi: np.ndarray, bumps, pitch: float, frac: float) -> np.ndarray:
     """Spectrum at frequencies xi (n = 1) of witness bumps, one per window
-    (center, scale) in bumps, translated to the given positions."""
+    (center, scale) in bumps, the i-th translated to (i - (count-1)/2) * pitch
+    so the train is centred on 0."""
+    ranks = np.arange(len(bumps), dtype=float) - (len(bumps) - 1) / 2.0
     total = np.zeros(xi.shape, dtype=complex)
-    for (center, scale), x0 in zip(bumps, positions):
+    for (center, scale), x0 in zip(bumps, ranks * pitch):
         u = np.abs(xi - center) / scale
         w_hat = bump_profile(u, _WITNESS_PLATEAU_FRACTION * frac, frac).astype(complex)
         w_hat *= np.exp(-2j * np.pi * xi * x0)
@@ -484,9 +416,10 @@ def save_grid_function_csv(f: GridFunction, path: str):
     np.savetxt(path, data, delimiter=",", header="x,re,im", comments="")
 
 
-def load_grid_function_csv(path: str, L: Optional[float] = None) -> GridFunction:
-    """Read 'x,re,im' rows after one header line; an unreadable or
-    malformed file is a ParameterError."""
+def load_grid_function_csv(path: str) -> GridFunction:
+    """Read 'x,re,im' rows after one header line; x must start at 0 and be
+    evenly spaced (to 1e-9 relative), and the period is x[-1] plus one
+    spacing.  An unreadable or malformed file is a ParameterError."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
@@ -496,7 +429,8 @@ def load_grid_function_csv(path: str, L: Optional[float] = None) -> GridFunction
     if data.shape[0] < 2 or data.shape[1] != 3:
         raise ParameterError(f"{path}: expected at least two rows of x,re,im")
     x, re, im = data[:, 0], data[:, 1], data[:, 2]
-    N = len(x)
-    if L is None:
-        L = float(x[-1] + (x[1] - x[0]))
-    return GridFunction(1, N, L, re + 1j * im)
+    step = x[1] - x[0]
+    tol = 1e-9 * step
+    if not (step > 0 and abs(x[0]) <= tol and np.all(np.abs(np.diff(x) - step) <= tol)):
+        raise ParameterError(f"{path}: the x column must start at 0 and be evenly spaced")
+    return GridFunction(1, len(x), float(x[-1] + step), re + 1j * im)

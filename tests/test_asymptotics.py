@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from alphamod import asymptotics
 from alphamod.asymptotics import (
     box_opnorm_lower,
     box_opnorm_montecarlo,
@@ -262,11 +263,11 @@ class TestConsistency:
                 embedding_consistency_check(sp(1, 0, 0, 0), sp(0, 0, 0, 0.25),
                                             truncation=truncation)
 
-    def test_budget_short_of_four_windows(self):
+    def test_budget_short_of_four_windows(self, monkeypatch):
         # a 1024-point budget fits the grids of windows k <= 2 only
+        monkeypatch.setattr(asymptotics, "DEFAULT_BUDGET", 1024)
         with pytest.raises(GeometryError, match="k = 2"):
-            embedding_consistency_check(sp(1, 0, 0, 0), sp(0, 0, 0, 0.5),
-                                        truncation=8, budget=1024)
+            embedding_consistency_check(sp(1, 0, 0, 0), sp(0, 0, 0, 0.5), truncation=8)
 
 
 class TestProp31:

@@ -5,6 +5,7 @@ import math
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from alphamod.cli import (
@@ -284,26 +285,23 @@ class TestRejectedInputs:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["missing.bin", "truncated.bin", "nan_period.bin",
-                                      "missing.csv", "short_rows.csv", "not_numbers.csv"])
+                                      "missing.csv", "short_rows.csv", "not_numbers.csv",
+                                      "uneven_x.csv"])
     def test_bad_input_file(self, tmp_path, capsys, name):
-        from alphamod.grids import builtin_function, save_grid_function
-
-        path = tmp_path / name
-        if name.endswith(".bin") and name != "missing.bin":
-            save_grid_function(builtin_function("bump", 1, 64, 8.0), str(path))
-            data = path.read_bytes()
-            if name == "truncated.bin":
-                path.write_bytes(data[:20])
-            else:
-                path.write_bytes(data[:16] + struct.pack("<d", math.nan) + data[24:])
-        elif name == "short_rows.csv":
-            path.write_text("x,re,im\n0,1\n0.5,1\n")
-        elif name == "not_numbers.csv":
-            path.write_text("x,re,im\n0,1,zero\n0.5,1,0\n")
+        path = write_input_file(tmp_path, name)
         status, out, err = invoke(["normcalc", "--source", "p=2,q=2,s=0,alpha=0",
                                    "--input", str(path)], capsys)
         assert status == EXIT_PRECONDITION
         assert out == "" and (str(path) in err or "finite" in err)
+
+    @pytest.mark.parametrize("command", [["covering", "--alpha", "0"],
+                                         ["normcalc", "--source", "p=2,q=2,s=0,alpha=0",
+                                          "--builtin", "gaussian"]])
+    def test_default_grid_in_two_dimensions(self, capsys, command):
+        # the default 4096,8 grid has 2^24 points in 2-D
+        status, out, err = invoke(command + ["--n", "2"], capsys)
+        assert status == EXIT_CONFIG
+        assert out == "" and "--grid" in err
 
     @pytest.mark.parametrize("flag", ["--out", "--dump-samples"])
     def test_unwritable_output_path(self, tmp_path, capsys, flag):
@@ -327,6 +325,37 @@ class TestRejectedInputs:
         assert out == "" and "dimension mismatch" in err
 
 
+def write_input_file(tmp_path, name):
+    """Write the normcalc input file called name (a missing.* name writes
+    nothing) and return its path."""
+    from alphamod.grids import builtin_function, save_grid_function, save_grid_function_csv
+
+    path = tmp_path / name
+    f = builtin_function("bump", 1, 64, 8.0)
+    if name.endswith(".bin") and name != "missing.bin":
+        save_grid_function(f, str(path))
+        data = path.read_bytes()
+        if name == "truncated.bin":
+            path.write_bytes(data[:20])
+        elif name == "nan_period.bin":
+            path.write_bytes(data[:16] + struct.pack("<d", math.nan) + data[24:])
+    elif name == "good.csv":
+        save_grid_function_csv(f, str(path))
+    elif name == "short_rows.csv":
+        path.write_text("x,re,im\n0,1\n0.5,1\n")
+    elif name == "not_numbers.csv":
+        path.write_text("x,re,im\n0,1,zero\n0.5,1,0\n")
+    elif name == "uneven_x.csv":
+        # a period-8 grid of 1024 ones whose spacing grows by half after row 512
+        step = 8.0 / 1024
+        x = np.concatenate([np.arange(512) * step, 512 * step + np.arange(512) * 1.5 * step])
+        np.savetxt(path, np.column_stack([x, np.ones(1024), np.zeros(1024)]),
+                   delimiter=",", header="x,re,im", comments="")
+    return path
+
+
+_FUZZ_FILES = ("good.bin", "good.csv", "missing.bin", "truncated.bin", "short_rows.csv",
+               "uneven_x.csv")
 _FUZZ_BAD = ("nan", "inf", "-inf", "0", "-1", "-3/2", "x", "1e", "")
 _FUZZ_GOOD = {"p": ("1/2", "1", "4/3", "2", "4", "inf"), "rp": ("0", "1/2", "1", "3/2"),
               "s": ("0", "1/2", "-1/4", "1", "0.3"),
@@ -334,9 +363,11 @@ _FUZZ_GOOD = {"p": ("1/2", "1", "4/3", "2", "4", "inf"), "rp": ("0", "1/2", "1",
 _FUZZ_GOOD["q"], _FUZZ_GOOD["rq"] = _FUZZ_GOOD["p"], _FUZZ_GOOD["rp"]
 
 
-def _fuzz_argv(rng: random.Random) -> list:
+def _fuzz_argv(rng: random.Random, files: list) -> list:
     """One command line of a fast subcommand; each value is malformed,
-    non-finite or out of range one time in ten."""
+    non-finite or out of range one time in ten.  normcalc reads one of the
+    given input files two times in five, and one command line in ten of
+    covering or normcalc asks for two dimensions on the default grid."""
     def value(good):
         return rng.choice(_FUZZ_BAD if rng.random() < 0.1 else good)
 
@@ -352,14 +383,17 @@ def _fuzz_argv(rng: random.Random) -> list:
 
     command = rng.choice(["decide", "index", "covering", "normcalc"])
     argv = [command]
+    sampled = ["--n", "2"] if rng.random() < 0.1 else [f"--grid={grid()}"]
     if command == "covering":
-        argv += ["--alpha", value(_FUZZ_GOOD["alpha"]), f"--grid={grid()}"]
+        argv += ["--alpha", value(_FUZZ_GOOD["alpha"])] + sampled
         if rng.random() < 0.3:
             argv += ["--k-max", rng.choice(["-1", "0", "2", "5"])]
     else:
         argv += [f"--source={space()}"]
-        if command == "normcalc":
-            argv += ["--builtin", rng.choice(["gaussian", "bump", "tone"]), f"--grid={grid()}"]
+        if command == "normcalc" and rng.random() < 0.4:
+            argv += ["--input", rng.choice(files)]
+        elif command == "normcalc":
+            argv += ["--builtin", rng.choice(["gaussian", "bump", "tone"])] + sampled
         else:
             argv += [f"--target={space()}"]
     if rng.random() < 0.3:
@@ -370,11 +404,12 @@ def _fuzz_argv(rng: random.Random) -> list:
 
 
 class TestArgvFuzz:
-    def test_every_input_ends_in_a_documented_exit_code(self, capsys):
+    def test_every_input_ends_in_a_documented_exit_code(self, tmp_path, capsys):
+        files = [str(write_input_file(tmp_path, name)) for name in _FUZZ_FILES]
         rng = random.Random(20261019)
         seen = set()
         for _ in range(200):
-            argv = _fuzz_argv(rng)
+            argv = _fuzz_argv(rng, files)
             try:
                 status = main(argv)
             except SystemExit as exc:   # argparse rejects the command line

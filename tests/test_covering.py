@@ -509,7 +509,7 @@ class TestSampledGamma:
             for l in tilde_s - tilde_e:
                 lo, hi = cov_f.support_interval(l)
                 assert not (plo <= lo and hi <= phi)
-                anchor_vals = cov_c.normalized_window(k, xi[fine.member(l).idx])
+                anchor_vals, = cov_c.normalized_windows((k,), xi[fine.member(l).idx])
                 assert anchor_vals.min() >= 1.0 - 1e-12
 
     def test_two_dim_sets(self):
@@ -539,22 +539,22 @@ class TestPointwiseWindows:
         xi = freq_axis(part.N, part.L)
         for k in (0, 3, 7):
             m = part.member(k)
-            vals = part.covering.normalized_window(k, xi[m.idx])
+            vals, = part.covering.normalized_windows((k,), xi[m.idx])
             np.testing.assert_allclose(vals, m.values, atol=1e-13)
 
     def test_sums_to_one_anywhere(self):
         cov = Covering(CoveringSpec(alpha=0.25, n=1))
         xi = np.linspace(-30.0, 30.0, 1501)
         total = np.zeros_like(xi)
-        for k in range(-40, 41):
-            total += cov.normalized_window(k, xi)
+        for row in cov.normalized_windows(range(-40, 41), xi):
+            total += row
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
 
     def test_windows_equal_one_at_a_time_bit_for_bit(self):
         # the lattice sum formed once for many windows must give what the
         # old per-window evaluation gave, summed in the same order
-        def old_normalized_window(cov, k, xi):
+        def one_window_reference(cov, k, xi):
             y = warp(xi, cov.alpha, 1)
             l_lo = int(math.floor(float(y.min()) - cov.r0)) - 1
             l_hi = int(math.ceil(float(y.max()) + cov.r0)) + 1
@@ -578,8 +578,8 @@ class TestPointwiseWindows:
             ks = list(range(-3, 40)) + [500]
             rows = list(cov.normalized_windows(ks, xi))
             for k, row in zip(ks, rows):
-                assert np.array_equal(row, old_normalized_window(cov, k, xi))
-            assert np.array_equal(cov.normalized_window(7, xi), rows[10])
+                assert np.array_equal(row, one_window_reference(cov, k, xi))
+            assert np.array_equal(next(cov.normalized_windows((7,), xi)), rows[10])
 
 
 class TestHighAlpha:

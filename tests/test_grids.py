@@ -13,6 +13,7 @@ from alphamod.covering import (
     PartitionMember,
     ball_geometry,
     build_partition,
+    freq_axis,
     neighbor_set,
 )
 from alphamod.errors import ParameterError, TruncationError
@@ -20,8 +21,8 @@ from alphamod.grids import (
     GridFunction,
     box_apply,
     builtin_function,
+    bump_train,
     coarse_norm,
-    fourier_transform,
     from_spectrum,
     load_grid_function,
     load_grid_function_csv,
@@ -34,7 +35,7 @@ from alphamod.grids import (
     spectrum,
     weighted_lq,
     witness_bump,
-    witness_spread,
+    witness_support_fraction,
 )
 from alphamod.indices import SpaceParams
 
@@ -52,48 +53,45 @@ def sp(rp, rq, s, alpha, n=1):
 
 
 class TestFourierTransform:
+    """The transform pair spectrum / from_spectrum."""
+
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         f = GridFunction(1, 256, 4.0, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-        back = fourier_transform(fourier_transform(f), "inverse")
+        back = from_spectrum(spectrum(f), 1, 256, 4.0)
         assert np.linalg.norm(back.values - f.values) <= 1e-12 * np.linalg.norm(f.values)
 
     def test_gaussian_self_dual(self):
         f = builtin_function("gaussian", 1, 2 ** 10, 16.0)
-        spec = fourier_transform(f)
+        spec = spectrum(f)
         xi = np.fft.fftfreq(f.N, d=f.L / f.N)
-        assert np.max(np.abs(spec.values - np.exp(-math.pi * xi ** 2))) <= 1e-8
+        assert np.max(np.abs(spec - np.exp(-math.pi * xi ** 2))) <= 1e-8
 
     def test_tone_is_delta(self):
         f = builtin_function("tone", 1, 512, 8.0)
-        spec = fourier_transform(f)
+        spec = spectrum(f)
         xi = np.fft.fftfreq(512, d=8.0 / 512)
-        hot = np.argmax(np.abs(spec.values))
+        hot = np.argmax(np.abs(spec))
         assert xi[hot] == pytest.approx(3.0 / 8.0)
-        assert spec.values[hot] == pytest.approx(8.0)
-        rest = np.abs(spec.values).copy()
+        assert spec[hot] == pytest.approx(8.0)
+        rest = np.abs(spec)
         rest[hot] = 0.0
         assert np.max(rest) <= 1e-9
 
     def test_parseval(self):
         rng = np.random.default_rng(1)
         f = GridFunction(1, 512, 4.0, rng.standard_normal(512) + 1j * rng.standard_normal(512))
-        spec = fourier_transform(f)
+        spec = spectrum(f)
         space_sq = np.sum(np.abs(f.values) ** 2) * f.cell
-        freq_sq = np.sum(np.abs(spec.values) ** 2) / f.L
+        freq_sq = np.sum(np.abs(spec) ** 2) / f.L
         assert space_sq == pytest.approx(freq_sq, rel=1e-12)
 
     def test_two_dim_round_trip(self):
         rng = np.random.default_rng(2)
         v = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
         f = GridFunction(2, 64, 4.0, v)
-        back = fourier_transform(fourier_transform(f), "inverse")
+        back = from_spectrum(spectrum(f), 2, 64, 4.0)
         assert np.linalg.norm(back.values - f.values) <= 1e-12 * np.linalg.norm(v)
-
-    def test_direction_validation(self):
-        f = builtin_function("gaussian", 1, 64, 8.0)
-        with pytest.raises(ParameterError):
-            fourier_transform(f, "sideways")
 
 
 class TestLpQuasinorm:
@@ -464,7 +462,8 @@ class TestWitnessBump:
             assert np.max(np.abs(g.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
 
     def test_dilation_law_per_scale_grids(self):
-        alpha, C, frac = 0.5, 64.0, 0.15
+        # one covering, so one support fraction for every window
+        alpha, C = 0.5, 64.0
         norms = {}
         for l in (0, 3, 7):
             _, scale = ball_geometry(l, alpha)
@@ -474,7 +473,7 @@ class TestWitnessBump:
             while N / (2 * L) <= abs(c) + 0.5 * scale:
                 N *= 2
             part = build_partition(CoveringSpec(alpha=alpha, n=1), N=N, L=L)
-            f = witness_bump(l, alpha, part, support_fraction=frac)
+            f = witness_bump(l, alpha, part)
             norms[l] = (scale, {rp: lp_quasinorm(f, rp) for rp in (0.0, 0.5, 1.0)})
         s0, base = norms[0]
         for l in (3, 7):
@@ -495,24 +494,35 @@ class TestWitnessBump:
             witness_bump(500, 0.75, part)
 
 
+def spread_train(members, part):
+    """The witness bumps of the given windows of part, translated 8 bump
+    widths apart and summed."""
+    frac = witness_support_fraction(part)
+    bumps = [ball_geometry(l, part.alpha) for l in members]
+    pitch = 8.0 * max(1.0 / (frac * scale) for _, scale in bumps)
+    reach = max(abs(center) + frac * scale for center, scale in bumps)
+    spec = bump_train(freq_axis(part.N, part.L), bumps, pitch, frac)
+    return from_spectrum(spec, 1, part.N, part.L, band_limit=reach)
+
+
 @pytest.fixture(scope="module")
 def spread():
     N, L = 2 ** 14, 192.0
     part0 = build_partition(CoveringSpec(alpha=0.0, n=1), N=N, L=L)
-    F, members, positions = witness_spread(4, 0.0, 0.5, part0)
-    return part0, F, members, positions
+    # the alpha = 0 windows that anchor 4 of the alpha = 1/2 covering absorbs
+    members = sorted(neighbor_set("GammaTilde", 4, (0.0, 0.5)).members)
+    return part0, spread_train(members, part0), members
 
 
 class TestWitnessSpread:
     def test_singleton_equals_bump(self, parts):
         part = parts[0.25]
-        F, members, _ = witness_spread(3, 0.25, 0.25, part)
-        assert members == [3]
+        F = spread_train([3], part)
         f = witness_bump(3, 0.25, part)
         assert np.max(np.abs(F.values - f.values)) <= 1e-10 * np.max(np.abs(f.values))
 
     def test_lp_almost_orthogonality(self, spread):
-        part0, F, members, _ = spread
+        part0, F, members = spread
         for rp in (0.5, 1.0):
             total = lp_quasinorm(F, rp) ** (1.0 / rp)
             per_term = sum(lp_quasinorm(witness_bump(l, 0.0, part0), rp) ** (1.0 / rp)
@@ -520,7 +530,7 @@ class TestWitnessSpread:
             assert abs(total - per_term) <= 0.01 * per_term
 
     def test_fine_norm_is_exact_lq(self, spread):
-        part0, F, members, _ = spread
+        part0, F, members = spread
         res = space_norm(F, sp(0.5, 1.0, 0.0, 0.0), part0)
         per_term = sum(lp_quasinorm(witness_bump(l, 0.0, part0), 0.5) for l in members)
         assert res.value == pytest.approx(per_term, rel=0.02)
