@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 from typing import Optional
 
@@ -26,6 +24,7 @@ from .covering import (Covering, CoveringSpec, Partition, ball_geometry,
                        build_partition, covering_for, window_base)
 from .errors import DomainError, GeometryError, ParameterError, TruncationError
 from .grids import (
+    WITNESS_SAFETY,
     GridFunction,
     box_apply,
     bump_train,
@@ -50,26 +49,13 @@ SLOPE_TOLERANCE = 0.15
 DEFAULT_BUDGET = 2 ** 16
 
 
-def thread_count() -> int:
-    """Worker cap from ALPHAMOD_THREADS; defaults to 1 (sequential)."""
-    raw = os.environ.get("ALPHAMOD_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 @dataclass(frozen=True)
 class OpNormSample:
     j: int                      # octave index of the window scale
     k: int                      # window index on the positive axis
     witness: str
     lower_bound: float
-    eff_logscale: float = 0.0   # log2 of the realized window scale
-
-    def to_dict(self) -> dict:
-        return {"j": self.j, "k": self.k, "witness": self.witness,
-                "lower_bound": self.lower_bound, "eff_logscale": self.eff_logscale}
+    eff_logscale: float         # log2 of the realized window scale
 
 
 @dataclass
@@ -78,10 +64,6 @@ class ExponentFit:
     intercept: float
     r2: float
     samples: list               # (scale index, log2 value) pairs
-
-    def to_dict(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept, "r2": self.r2,
-                "samples": [[float(a), float(b)] for a, b in self.samples]}
 
 
 def exponent_fit(samples) -> ExponentFit:
@@ -110,6 +92,12 @@ def lab_covering(alpha: float) -> Covering:
     measure on; alpha is taken as its exact float, so every layer of one
     sweep agrees on the covering of alpha."""
     return covering_for(CoveringSpec(alpha=float(alpha), n=1))
+
+
+def lab_witness_fraction(alpha: float) -> float:
+    """Support radius of the lab's witness bumps on the covering of alpha,
+    as a fraction of the window scale."""
+    return WITNESS_SAFETY * lab_covering(alpha).plateau_fraction(32)
 
 
 @functools.lru_cache(maxsize=48)
@@ -142,7 +130,7 @@ def matched_fine_index(k: int, a: float, b: float) -> int:
     """Fine-covering index whose scale matches window k of the coarse covering."""
     target = (1.0 + k * k) ** ((1.0 - a) / (1.0 - b))
     l0 = int(round(math.sqrt(max(target - 1.0, 0.0))))
-    frac = 0.85 * lab_covering(a).plateau_fraction(32)
+    frac = lab_witness_fraction(a)
     plateau = lab_covering(b).plateau_interval(k)
     best, best_err = l0, math.inf
     for l in range(max(0, l0 - 3), l0 + 4):
@@ -175,12 +163,12 @@ def plan_grid(source: SpaceParams, target: SpaceParams, k: int, *,
     None if DEFAULT_BUDGET points cannot accommodate them."""
     a1, a2 = float(source.alpha), float(target.alpha)
     a, b = min(a1, a2), max(a1, a2)
-    cov_b, cov_a = lab_covering(b), lab_covering(a)
+    cov_b = lab_covering(b)
     # the next coarse window must also be usable, or the safe window stops
     # short of the anchor's own support
     reach = cov_b.support_outer_radius(k + 2) * 1.02 + 2.0
-    frac_a = 0.85 * cov_a.plateau_fraction(32)
-    frac_b = 0.85 * cov_b.plateau_fraction(32)
+    frac_a = lab_witness_fraction(a)
+    frac_b = lab_witness_fraction(b)
     _, scale_k = ball_geometry(k, b)
     widths = [1.0 / (frac_b * scale_k)]
     if l_fine is not None:
@@ -228,7 +216,7 @@ def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams) -> Optional[
         # and the sample only adds boundary noise to the fit
         if len(members) < 3:
             return None
-    frac = 0.85 * cov_a.plateau_fraction(32)
+    frac = lab_witness_fraction(a)
     c_ref, _ = ball_geometry(k, b)
     geo = {l: ball_geometry(l, a) for l in members}
     widths = [1.0 / (frac * geo[l][1]) for l in members]
@@ -387,14 +375,7 @@ def box_opnorm_montecarlo(k: int, source: SpaceParams, target: SpaceParams,
         except GeometryError:
             return 0.0
 
-    seeds = [seed * 1000003 + t for t in range(trials)]
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(one_trial, seeds))
-    else:
-        values = [one_trial(s) for s in seeds]
-    best = max(best, max(values))
+    best = max(best, max(one_trial(seed * 1000003 + t) for t in range(trials)))
     return OpNormSample(j=int(round(eff_logscale(k, b))), k=k,
                         witness=WITNESS_MONTECARLO, lower_bound=best,
                         eff_logscale=eff_logscale(k, b))
@@ -427,9 +408,15 @@ def growth_rate_check(source: SpaceParams, target: SpaceParams, j_range, *,
     samples = []
     skipped = []
     for j in js:
-        k = anchor_for_octave(j, b)
-        l_fine = matched_fine_index(k, a, b)
-        grid = plan_grid(source, target, k, l_fine=l_fine)
+        # plan_grid needs more than c grid points for a window centred at
+        # c, so none fits beyond DEFAULT_BUDGET; further out the window's
+        # geometry leaves float range
+        try:
+            k = anchor_for_octave(j, b)
+            fits = ball_geometry(k, b)[0] <= DEFAULT_BUDGET
+        except OverflowError:
+            fits = False
+        grid = plan_grid(source, target, k, l_fine=matched_fine_index(k, a, b)) if fits else None
         if grid is None:
             skipped.append({"j": j, "reason": "grid budget"})
             continue
@@ -464,11 +451,11 @@ def growth_rate_check(source: SpaceParams, target: SpaceParams, j_range, *,
                            (WITNESS_UNIFORM, WITNESS_CONCENTRATED, WITNESS_SPREAD)},
         "witness_term_targets": {w: float(predicted.terms[i])
                                  for w, i in _WITNESS_TERM.items()},
-        "witness_fits": {w: f.to_dict() for w, f in fits.items()},
+        "witness_fits": {w: asdict(f) for w, f in fits.items()},
         "max_slope": max_slope,
         "tolerance": SLOPE_TOLERANCE,
         "pass": abs(max_slope - predicted_value) <= SLOPE_TOLERANCE,
-        "samples": [s.to_dict() for s in samples],
+        "samples": [asdict(s) for s in samples],
         "skipped": skipped,
     }
     return report

@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .covering import (
@@ -222,7 +222,7 @@ def _run_covering(config: RunConfig) -> dict:
     report = verify_partition(part)
     if config.dump_samples:
         dump_partition_samples(part, config.dump_samples)
-    out = report.to_dict()
+    out = asdict(report)
     out["members"] = partition_rows(part)
     if part.covering is not None:
         out["constants"] = {"c_big": part.covering.r0, "delta": part.covering.delta,
@@ -238,6 +238,9 @@ def _run_normcalc(config: RunConfig) -> dict:
             f = load_grid_function_csv(config.input_path)
         else:
             f = load_grid_function(config.input_path)
+        if f.N ** f.n > MAX_GRID_POINTS:
+            raise ParameterError(f"{config.input_path} holds a grid of {f.N}^{f.n} points, "
+                                 f"more than {MAX_GRID_POINTS}")
     elif config.builtin:
         f = builtin_function(config.builtin, config.n, config.N, config.L)
     else:
@@ -416,6 +419,13 @@ def config_from_args(args) -> RunConfig:
         cfg.source = parse_space(args.source, cfg.n)
     if getattr(args, "target", None):
         cfg.target = parse_space(args.target, cfg.n)
+    # exact fields stay exact, but reports and sweeps convert them to floats
+    for space in filter(None, (cfg.source, cfg.target)):
+        for name in ("rp", "rq", "s", "alpha"):
+            try:
+                float(getattr(space, name))
+            except OverflowError:
+                raise ParameterError(f"{name} must be finite as a float") from None
     if args.command == "covering":
         cfg.alpha = float(as_scalar(args.alpha))
         cfg.k_max = args.k_max
@@ -438,7 +448,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-    except (ParameterError, ValueError) as exc:
+    except (ParameterError, ValueError, OverflowError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     try:

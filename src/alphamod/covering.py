@@ -188,8 +188,7 @@ class Covering:
                 f"{self.delta} vs minimal lattice gap {gap:.4f} (alpha={self.alpha})")
         if not spec.c_small < self.r0:
             raise CoveringError("c_small must stay below the support radius c_big")
-        # memo of plateau_fraction by probe; it only ever holds the value
-        # the method computes, so threads sharing the covering may race on it
+        # memo of plateau_fraction by probe
         self._plateau_fractions = {}
 
     # -- lattice geometry -------------------------------------------------
@@ -320,8 +319,7 @@ def _signed_unwarp(y: float, alpha: float) -> float:
 @functools.lru_cache(maxsize=48)
 def covering_for(spec: CoveringSpec) -> Covering:
     """The resolved covering of spec, shared by every caller passing an
-    equal spec.  Coverings hold no state that changes their results, so
-    one instance serves all threads."""
+    equal spec.  Coverings hold no state that changes their results."""
     return Covering(spec)
 
 
@@ -425,34 +423,6 @@ def _dim_of(anchor: Index) -> int:
     return 1 if np.ndim(anchor) == 0 else len(anchor)
 
 
-def gamma_members_sampled(anchor: Index, partition_fine: Partition,
-                          partition_coarse: Partition,
-                          absorbed: bool = False) -> IndexSet:
-    """Gamma (or GammaTilde, with absorbed=True) from sampled windows.
-
-    Works in any supported dimension: supports are compared bin by bin on
-    the shared grid, and absorption means the anchor window equals 1 on
-    every bin of the fine window's support.
-    """
-    if (partition_fine.N, partition_fine.L) != (partition_coarse.N, partition_coarse.L):
-        raise ParameterError("partitions must share one grid")
-    mk = partition_coarse.member(anchor)
-    size = partition_coarse.N ** partition_coarse.n
-    anchor_vals = np.zeros(size)
-    anchor_vals[mk.idx] = mk.values
-    members = set()
-    for m in partition_fine.members:
-        local = anchor_vals[m.idx]
-        if absorbed:
-            if m.idx.size and np.all(local >= 1.0 - 1e-12):
-                members.add(m.index)
-        elif np.any(local > 0.0):
-            members.add(m.index)
-    relation = "GammaTilde" if absorbed else "Gamma"
-    return IndexSet(relation=relation, anchor=anchor, members=frozenset(members),
-                    alphas=(partition_fine.alpha, partition_coarse.alpha))
-
-
 def _check_truncation(members, k_max):
     if k_max is None:
         return
@@ -472,18 +442,17 @@ def _sup_norm(k: Index) -> int:
 class PartitionMember:
     """One sampled window: eta_k^alpha on the grid, or a dyadic annulus."""
 
-    kind: str                    # "alpha_window" | "dyadic"
     index: Index                 # k (int or tuple) or octave j
     center: Union[float, np.ndarray]
     scale: float
     support_radius: float        # measured in frequency units, about center
     idx: np.ndarray              # flat indices into the fft-layout spectrum
     values: np.ndarray           # window samples at idx
-    grid_N: int = 0              # grid the samples were taken on
-    grid_L: float = 0.0
+    grid_N: int                  # grid the samples were taken on
+    grid_L: float
 
     def __post_init__(self):
-        # members are shared read-only between threads after construction
+        # members are shared read-only after construction
         self.idx = np.asarray(self.idx, dtype=np.intp)
         self.values = np.asarray(self.values, dtype=float)
         self.idx.setflags(write=False)
@@ -499,7 +468,6 @@ class PartitionMember:
 class Partition:
     """All usable windows of one covering sampled on a frequency grid."""
 
-    kind: str                    # "alpha" | "dyadic"
     alpha: float
     n: int
     N: int
@@ -659,10 +627,10 @@ def _build_alpha(cov: Covering, spec: CoveringSpec, N: int, L: float) -> Partiti
                 f"is too coarse for alpha = {alpha:g}")
         center, scale = ball_geometry(k, alpha)
         members.append(PartitionMember(
-            kind="alpha_window", index=k, center=center, scale=scale,
+            index=k, center=center, scale=scale,
             support_radius=outer - _norm(center),
             idx=idx, values=vals / total[idx], grid_N=N, grid_L=L))
-    return Partition(kind="alpha", alpha=alpha, n=n, N=N, L=L,
+    return Partition(alpha=alpha, n=n, N=N, L=L,
                      safe_radius=min(warp_radius_inv(edge, alpha), f_nyq), members=members,
                      covering=cov, spec=spec)
 
@@ -690,10 +658,10 @@ def _build_dyadic(spec: CoveringSpec, N: int, L: float) -> Partition:
         vals = dyadic_symbol(j, rho)
         idx = np.nonzero(vals > 0.0)[0]
         members.append(PartitionMember(
-            kind="dyadic", index=j, center=0.0 if spec.n == 1 else np.zeros(spec.n),
+            index=j, center=0.0 if spec.n == 1 else np.zeros(spec.n),
             scale=2.0 ** j, support_radius=1.5 * 2.0 ** j,
             idx=idx, values=vals[idx], grid_N=N, grid_L=L))
-    return Partition(kind="dyadic", alpha=1.0, n=spec.n, N=N, L=L,
+    return Partition(alpha=1.0, n=spec.n, N=N, L=L,
                      safe_radius=(4.0 / 3.0) * 2.0 ** j_max, members=members,
                      spec=spec)
 
@@ -709,17 +677,6 @@ class PartitionReport:
     gradient_ratio: float
     safe_radius: float
     member_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "sum_deviation": self.sum_deviation,
-            "max_overlap": self.max_overlap,
-            "support_leakage": self.support_leakage,
-            "gradient_bound": self.gradient_bound,
-            "gradient_ratio": self.gradient_ratio,
-            "safe_radius": self.safe_radius,
-            "member_count": self.member_count,
-        }
 
 
 def verify_partition(partition: Partition) -> PartitionReport:
@@ -790,8 +747,8 @@ def dump_partition_samples(partition: Partition, path: str):
         fh.write(struct.pack("<4sIII", _MAGIC, _VERSION, partition.n, partition.N))
         fh.write(struct.pack("<dd", partition.L, partition.alpha))
         fh.write(struct.pack("<Q", len(partition.members)))
+        kind = 1 if partition.alpha == 1.0 else 0
         for m in partition.members:
-            kind = 0 if m.kind == "alpha_window" else 1
             idx_tuple = m.index if isinstance(m.index, tuple) else (m.index,) * 1
             idx_tuple = tuple(idx_tuple) + (0,) * (partition.n - len(idx_tuple))
             center = np.atleast_1d(np.asarray(m.center, dtype=float))

@@ -87,7 +87,7 @@ def from_spectrum(spec_flat: np.ndarray, n: int, N: int, L: float,
 
 def box_apply(f: GridFunction, member: PartitionMember) -> GridFunction:
     """Frequency-localize f with one window: inverse FT of (window * FT f)."""
-    if member.grid_N and (f.N != member.grid_N or abs(f.L - member.grid_L) > 1e-12):
+    if f.N != member.grid_N or abs(f.L - member.grid_L) > 1e-12:
         raise ParameterError(
             f"member sampled on (N={member.grid_N}, L={member.grid_L}), "
             f"function lives on (N={f.N}, L={f.L})")
@@ -97,16 +97,6 @@ def box_apply(f: GridFunction, member: PartitionMember) -> GridFunction:
     radius = float(np.linalg.norm(np.atleast_1d(member.center))) + member.support_radius
     limit = radius if f.band_limit is None else min(f.band_limit, radius)
     return from_spectrum(out, f.n, f.N, f.L, band_limit=limit)
-
-
-def band_mass_fraction_outside(f: GridFunction, radius: float) -> float:
-    """Fraction of spectral energy outside |xi| <= radius."""
-    spec = spectrum(f)
-    rho = freq_radius(f.n, f.N, f.L)
-    total = float(np.sum(np.abs(spec) ** 2))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(np.abs(spec[rho > radius]) ** 2)) / total
 
 
 def sample_lp(mag: np.ndarray, rp: float, cell_volume: float) -> float:
@@ -288,14 +278,14 @@ def coarse_norm(f: GridFunction, alpha1, alpha2, s, rp, rq,
 # -- witness functions -------------------------------------------------------
 
 _WITNESS_PLATEAU_FRACTION = 0.25
-_WITNESS_SAFETY = 0.85
+WITNESS_SAFETY = 0.85
 
 
 def witness_support_fraction(partition: Partition) -> float:
     """Spectral support radius of witness bumps, as a fraction of the scale."""
     if partition.covering is None:
         raise ParameterError("witness bumps require an alpha < 1 covering")
-    return _WITNESS_SAFETY * partition.covering.plateau_fraction(128)
+    return WITNESS_SAFETY * partition.covering.plateau_fraction(128)
 
 
 def witness_bump(l: Index, alpha, partition: Partition) -> GridFunction:

@@ -188,6 +188,13 @@ class TestGrowthRateCheck:
         second = growth_rate_check(src, tgt, range(4, 8), seed=3)
         assert second == first
 
+    def test_octave_beyond_float_range_skipped(self):
+        src, tgt = sp(1, 0, 0, 0), sp(0, 0, 0, 0.5)
+        near = growth_rate_check(src, tgt, [4, 5, 6, 7])
+        far = growth_rate_check(src, tgt, [4, 5, 6, 7, 600])
+        assert far["samples"] == near["samples"]
+        assert far["skipped"] == near["skipped"] + [{"j": 600, "reason": "grid budget"}]
+
 
 class TestBruteForce:
     def test_single_index_exact(self):

@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from alphamod import cli
 from alphamod.cli import (
     EXIT_CONFIG,
     EXIT_INTERNAL,
@@ -234,7 +235,8 @@ class TestRejectedInputs:
     exit code."""
 
     @pytest.mark.parametrize("field", ["p=nan", "q=nan", "s=nan", "s=inf", "s=-inf",
-                                       "alpha=nan", "rp=inf", "rq=nan"])
+                                       "alpha=nan", "rp=inf", "rq=nan",
+                                       "s=1e400", "p=1e-400"])
     def test_non_finite_space_fields(self, capsys, field):
         fields = dict(item.split("=") for item in "p=2,q=2,s=0,alpha=0".split(","))
         key, value = field.split("=")
@@ -245,6 +247,11 @@ class TestRejectedInputs:
                                    "--target", source], capsys)
         assert status == EXIT_CONFIG
         assert out == "" and "finite" in err
+
+    def test_covering_alpha_beyond_float_range(self, capsys):
+        status, out, err = invoke(["covering", "--alpha", "1e400", "--grid", "64,1"], capsys)
+        assert status == EXIT_CONFIG
+        assert out == "" and "config error" in err
 
     @pytest.mark.parametrize("grid", ["4096,nan", "4096,inf", "4096,-8", "4096,0",
                                       "100,8", "0,8", "-64,8"])
@@ -286,8 +293,10 @@ class TestRejectedInputs:
 
     @pytest.mark.parametrize("name", ["missing.bin", "truncated.bin", "nan_period.bin",
                                       "missing.csv", "short_rows.csv", "not_numbers.csv",
-                                      "uneven_x.csv"])
-    def test_bad_input_file(self, tmp_path, capsys, name):
+                                      "uneven_x.csv", "big_2d.bin"])
+    def test_bad_input_file(self, tmp_path, capsys, monkeypatch, name):
+        # big_2d.bin holds 64^2 points, above the cap set here
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 2 ** 10)
         path = write_input_file(tmp_path, name)
         status, out, err = invoke(["normcalc", "--source", "p=2,q=2,s=0,alpha=0",
                                    "--input", str(path)], capsys)
@@ -331,7 +340,7 @@ def write_input_file(tmp_path, name):
     from alphamod.grids import builtin_function, save_grid_function, save_grid_function_csv
 
     path = tmp_path / name
-    f = builtin_function("bump", 1, 64, 8.0)
+    f = builtin_function("bump", 2 if name == "big_2d.bin" else 1, 64, 8.0)
     if name.endswith(".bin") and name != "missing.bin":
         save_grid_function(f, str(path))
         data = path.read_bytes()

@@ -148,11 +148,11 @@ def _reference_build_1d(spec, N, L):
         center, scale = ball_geometry(k, cov.alpha)
         lo, hi = cov.support_interval(k)
         members.append(PartitionMember(
-            kind="alpha_window", index=k, center=center, scale=scale,
+            index=k, center=center, scale=scale,
             support_radius=max(hi - center, center - lo),
             idx=idx, values=vals / total[idx], grid_N=N, grid_L=L))
     safe_radius = cov.support_interval(k_fit + 1)[0]
-    return Partition(kind="alpha", alpha=cov.alpha, n=1, N=N, L=L,
+    return Partition(alpha=cov.alpha, n=1, N=N, L=L,
                      safe_radius=min(safe_radius, f_nyq), members=members,
                      covering=cov, spec=spec)
 
@@ -190,7 +190,7 @@ def _reference_build_2d(spec, N, L):
         outer = cov.support_outer_radius(k)
         cn = float(np.linalg.norm(center))
         members.append(PartitionMember(
-            kind="alpha_window", index=k, center=np.asarray(center), scale=scale,
+            index=k, center=np.asarray(center), scale=scale,
             support_radius=outer - cn if cn > 0 else outer,
             idx=idx, values=vals / total[idx], grid_N=N, grid_L=L))
     edge = math.inf
@@ -200,7 +200,7 @@ def _reference_build_2d(spec, N, L):
                 yn = float(np.linalg.norm(np.asarray(cov.lattice_image((kx, ky)), dtype=float)))
                 edge = min(edge, max(yn - cov.r0, 0.0))
     safe_radius = warp_radius_inv(edge, cov.alpha) if edge < math.inf else f_nyq
-    return Partition(kind="alpha", alpha=cov.alpha, n=2, N=N, L=L,
+    return Partition(alpha=cov.alpha, n=2, N=N, L=L,
                      safe_radius=min(safe_radius, f_nyq), members=members,
                      covering=cov, spec=spec)
 
@@ -211,10 +211,10 @@ def _positive_bins(part):
     for m in part.members:
         keep = m.values != 0.0
         members.append(PartitionMember(
-            kind=m.kind, index=m.index, center=m.center, scale=m.scale,
+            index=m.index, center=m.center, scale=m.scale,
             support_radius=m.support_radius, idx=m.idx[keep], values=m.values[keep],
             grid_N=m.grid_N, grid_L=m.grid_L))
-    return Partition(kind=part.kind, alpha=part.alpha, n=part.n, N=part.N, L=part.L,
+    return Partition(alpha=part.alpha, n=part.n, N=part.N, L=part.L,
                      safe_radius=part.safe_radius, members=members,
                      covering=part.covering, spec=part.spec)
 
@@ -486,20 +486,36 @@ class TestLambdaReference:
             assert star == set().union(*(want[l] for l in want[k]))
 
 
+def _gamma_members_sampled(anchor, partition_fine, partition_coarse, absorbed=False):
+    """Gamma (or GammaTilde, with absorbed=True) from windows sampled on one
+    shared grid, in any dimension: supports are compared bin by bin, and
+    absorption means the anchor window equals 1 on every bin of the fine
+    window's support."""
+    mk = partition_coarse.member(anchor)
+    anchor_vals = mk.dense(partition_coarse.N ** partition_coarse.n)
+    members = set()
+    for m in partition_fine.members:
+        local = anchor_vals[m.idx]
+        if absorbed:
+            if m.idx.size and np.all(local >= 1.0 - 1e-12):
+                members.add(m.index)
+        elif np.any(local > 0.0):
+            members.add(m.index)
+    return members
+
+
 class TestSampledGamma:
     def test_matches_interval_arithmetic_1d(self):
         fine = build_partition(CoveringSpec(alpha=0.0, n=1), N=2 ** 12, L=8.0)
         coarse = build_partition(CoveringSpec(alpha=0.5, n=1), N=2 ** 12, L=8.0)
-        from alphamod.covering import gamma_members_sampled
-
         xi = freq_axis(fine.N, fine.L)
         cov_f = fine.covering
         cov_c = coarse.covering
         for k in (2, 4, 7):
-            sampled = gamma_members_sampled(k, fine, coarse).members
+            sampled = _gamma_members_sampled(k, fine, coarse)
             exact = neighbor_set("Gamma", k, (0.0, 0.5)).members
             assert sampled == exact
-            tilde_s = gamma_members_sampled(k, fine, coarse, absorbed=True).members
+            tilde_s = _gamma_members_sampled(k, fine, coarse, absorbed=True)
             tilde_e = neighbor_set("GammaTilde", k, (0.0, 0.5)).members
             assert tilde_e <= tilde_s
             # sampled absorption may additionally pick up windows that are
@@ -513,13 +529,11 @@ class TestSampledGamma:
                 assert anchor_vals.min() >= 1.0 - 1e-12
 
     def test_two_dim_sets(self):
-        from alphamod.covering import gamma_members_sampled
-
         fine = build_partition(CoveringSpec(alpha=0.0, n=2), N=2 ** 7, L=4.0)
         coarse = build_partition(CoveringSpec(alpha=0.5, n=2), N=2 ** 7, L=4.0)
         anchor = (2, 0)
-        gamma = gamma_members_sampled(anchor, fine, coarse).members
-        tilde = gamma_members_sampled(anchor, fine, coarse, absorbed=True).members
+        gamma = _gamma_members_sampled(anchor, fine, coarse)
+        tilde = _gamma_members_sampled(anchor, fine, coarse, absorbed=True)
         assert gamma
         assert tilde <= gamma
         # every overlapping fine window sits near the anchor center
