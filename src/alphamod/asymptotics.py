@@ -31,18 +31,14 @@ from .grids import (
     from_spectrum,
     lp_quasinorm,
     random_band_limited,
-    sample_lp,
     smoothness_weights,
     space_norm,
     weighted_lq,
+    window_lp_norms,
     witness_bump,
 )
-from .indices import SpaceParams, embedding_decide, growth_index, seq_multiplier_norm_closed
-
-WITNESS_UNIFORM = "uniform"
-WITNESS_CONCENTRATED = "concentrated"
-WITNESS_SPREAD = "spread"
-WITNESS_MONTECARLO = "montecarlo"
+from .indices import (TERM_LABELS, SpaceParams, embedding_decide, growth_index,
+                      seq_multiplier_norm_closed)
 
 SLOPE_TOLERANCE = 0.15
 # the most grid points any one measurement may sample; read at call time
@@ -145,31 +141,27 @@ def matched_fine_index(k: int, a: float, b: float) -> int:
     return best
 
 
-@dataclass
-class LabGrid:
-    """One measurement grid with the partitions the witnesses need."""
-
-    N: int
-    L: float
-    partitions: dict  # float(alpha) -> Partition
-
-    def partition(self, alpha) -> Partition:
-        return self.partitions[float(alpha)]
-
-
 def plan_grid(source: SpaceParams, target: SpaceParams, k: int, *,
-              l_fine: Optional[int] = None) -> Optional[LabGrid]:
-    """Choose (N, L) so the single-bump witnesses anchored at window k fit;
-    None if DEFAULT_BUDGET points cannot accommodate them."""
+              l_fine: Optional[int] = None) -> Optional[dict]:
+    """Choose (N, L) so the single-bump witnesses anchored at window k fit,
+    and return the lab partitions of both alphas on it, keyed by float
+    alpha; None if DEFAULT_BUDGET points cannot accommodate them."""
     a1, a2 = float(source.alpha), float(target.alpha)
     a, b = min(a1, a2), max(a1, a2)
+    # more than c grid points are needed for a window centred at c, so none
+    # fits beyond DEFAULT_BUDGET; further out its geometry leaves float range
+    try:
+        center_k, scale_k = ball_geometry(k, b)
+    except DomainError:
+        return None
+    if center_k > DEFAULT_BUDGET:
+        return None
     cov_b = lab_covering(b)
     # the next coarse window must also be usable, or the safe window stops
     # short of the anchor's own support
     reach = cov_b.support_outer_radius(k + 2) * 1.02 + 2.0
     frac_a = lab_witness_fraction(a)
     frac_b = lab_witness_fraction(b)
-    _, scale_k = ball_geometry(k, b)
     widths = [1.0 / (frac_b * scale_k)]
     if l_fine is not None:
         _, scale_l = ball_geometry(l_fine, a)
@@ -187,10 +179,21 @@ def plan_grid(source: SpaceParams, target: SpaceParams, k: int, *,
                      and all(p.safe_radius >= cov_b.support_outer_radius(k)
                              for p in partitions.values()))
         if satisfied:
-            return LabGrid(N=N, L=L, partitions=partitions)
+            return partitions
         N *= 2
         if N > DEFAULT_BUDGET:
             return None
+
+
+def _packed_rows(rows):
+    """Dense window rows as the bins, samples and offsets window_lp_norms takes."""
+    bins, samples, offsets = [], [], [0]
+    for row in rows:
+        at = np.flatnonzero(row)
+        bins.append(at)
+        samples.append(row[at])
+        offsets.append(offsets[-1] + at.size)
+    return np.concatenate(bins), np.concatenate(samples), np.array(offsets)
 
 
 def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams) -> Optional[float]:
@@ -201,7 +204,7 @@ def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams) -> Optional[
     of the anchor window, so shifting frequencies by the anchor center
     leaves every L^p magnitude unchanged while shrinking the Nyquist band
     to the plateau width.  Covering windows are sampled pointwise at the
-    shifted frequencies.
+    shifted frequencies, and their pieces measured by window_lp_norms.
     """
     from .covering import neighbor_set
 
@@ -219,8 +222,7 @@ def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams) -> Optional[
     frac = lab_witness_fraction(a)
     c_ref, _ = ball_geometry(k, b)
     geo = {l: ball_geometry(l, a) for l in members}
-    widths = [1.0 / (frac * geo[l][1]) for l in members]
-    wmax = max(widths)
+    wmax = max(1.0 / (frac * geo[l][1]) for l in members)
     count = len(members)
 
     def build(sep: float):
@@ -237,37 +239,21 @@ def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams) -> Optional[
 
     def measure(built) -> float:
         N, L, xi, total = built
-        scale = (N / L)
-        coarse = (k - 1, k, k + 1)
-        eta_b = dict(zip(coarse, cov_b.normalized_windows(coarse, xi)))
-        boxed = total * eta_b[k]
-
-        def norm_p(spec_flat, rp):
-            return sample_lp(np.abs(np.fft.ifft(spec_flat) * scale), float(rp), L / N)
-
-        def fine_pieces(spec_flat, rp):
-            ls = range(members[0] - 2, members[-1] + 3)
-            return [norm_p(spec_flat * eta_l, rp)
-                    for eta_l in cov_a.normalized_windows(ls, xi)]
-
-        def coarse_pieces(spec_flat, rp):
-            return [norm_p(spec_flat * eta_b[m], rp) for m in coarse]
-
-        if a1 <= a2:
-            num = weighted_lq(coarse_pieces(boxed, target.rp), target.rq)
-            den = weighted_lq(fine_pieces(total, source.rp), source.rq)
-        else:
-            num = weighted_lq(fine_pieces(boxed, target.rp), target.rq)
-            den = weighted_lq(coarse_pieces(total, source.rp), source.rq)
+        eta_b = list(cov_b.normalized_windows((k - 1, k, k + 1), xi))
+        boxed = total * eta_b[1]
+        coarse = _packed_rows(eta_b)
+        fine = _packed_rows(cov_a.normalized_windows(
+            range(members[0] - 2, members[-1] + 3), xi))
+        num_rows, den_rows = (coarse, fine) if a1 <= a2 else (fine, coarse)
+        num = weighted_lq(window_lp_norms(boxed, *num_rows, (1, N, L), target.rp), target.rq)
+        den = weighted_lq(window_lp_norms(total, *den_rows, (1, N, L), source.rp), source.rq)
         if den == 0.0:
             raise GeometryError("spread witness has vanishing source norm")
         return num / den
 
-    built = build(3.0)
+    built = build(3.0) or build(2.0)
     if built is None:
-        built = build(2.0)
-        if built is None:
-            return None
+        return None
     value = measure(built)
     if count > 1:
         doubled = build(6.0)
@@ -292,57 +278,41 @@ def _norm_ratio(f: GridFunction, member, source: SpaceParams, target: SpaceParam
 
 
 def box_opnorm_lower(k: int, source: SpaceParams, target: SpaceParams,
-                     grid: LabGrid) -> list:
+                     grid: dict) -> list:
     """Witness-function lower bounds for the localized operator norm at k.
 
-    Produces one sample per witness family; the spread witness runs on its
-    own demodulated grid and is skipped when no window is absorbed or the
+    Produces one sample per witness family of TERM_LABELS, on the lab
+    partitions of plan_grid; the spread witness runs on its own
+    demodulated grid and is skipped when no window is absorbed or the
     budget is too small.
     """
     if float(target.rp) > float(source.rp):
         raise ParameterError("lower-bound sweeps require 1/p2 <= 1/p1")
     a1, a2 = float(source.alpha), float(target.alpha)
     a, b = min(a1, a2), max(a1, a2)
-    part_b = grid.partition(b)
-    part_a = grid.partition(a)
-    part_1 = grid.partition(a1)
-    part_2 = grid.partition(a2)
-    member_k = part_b.member(k)
-    j = int(round(eff_logscale(k, b)))
+    member_k = grid[b].member(k)
     eff = eff_logscale(k, b)
-    out = []
 
-    l = matched_fine_index(k, a, b)
-    f_uni = witness_bump(l, a, part_a)
-    out.append(OpNormSample(j=j, k=k, witness=WITNESS_UNIFORM,
-                            lower_bound=_norm_ratio(f_uni, member_k, source, target,
-                                                    part_1, part_2),
-                            eff_logscale=eff))
+    def bump_ratio(f):
+        return _norm_ratio(f, member_k, source, target, grid[a1], grid[a2])
 
-    f_con = witness_bump(k, b, part_b)
-    out.append(OpNormSample(j=j, k=k, witness=WITNESS_CONCENTRATED,
-                            lower_bound=_norm_ratio(f_con, member_k, source, target,
-                                                    part_1, part_2),
-                            eff_logscale=eff))
-
-    val = _spread_ratio(k, source, target)
-    if val is not None:
-        out.append(OpNormSample(j=j, k=k, witness=WITNESS_SPREAD,
-                                lower_bound=val, eff_logscale=eff))
-    return out
+    ratios = (bump_ratio(witness_bump(matched_fine_index(k, a, b), a, grid[a])),
+              bump_ratio(witness_bump(k, b, grid[b])),
+              _spread_ratio(k, source, target))
+    return [OpNormSample(j=int(round(eff)), k=k, witness=label, lower_bound=value,
+                         eff_logscale=eff)
+            for label, value in zip(TERM_LABELS, ratios) if value is not None]
 
 
 def box_opnorm_montecarlo(k: int, source: SpaceParams, target: SpaceParams,
-                          grid: LabGrid, trials: int = 64, seed: int = 0) -> OpNormSample:
+                          grid: dict, trials: int = 64, seed: int = 0) -> OpNormSample:
     """Random-input estimate of the same localized norm; maximizes over the
     witness functions plus random band-limited spectra near window k."""
     if trials < 1:
         raise ParameterError("trials must be at least 1")
     a1, a2 = float(source.alpha), float(target.alpha)
     b = max(a1, a2)
-    part_b = grid.partition(b)
-    part_1 = grid.partition(a1)
-    part_2 = grid.partition(a2)
+    part_b, part_1, part_2 = grid[b], grid[a1], grid[a2]
     member_k = part_b.member(k)
     best = max(s.lower_bound for s in
                box_opnorm_lower(k, source, target, grid))
@@ -358,7 +328,7 @@ def box_opnorm_montecarlo(k: int, source: SpaceParams, target: SpaceParams,
             m = part_b.member(l)
             mask[m.idx] = True
             reach = max(reach, float(np.abs(np.atleast_1d(m.center))[0]) + m.support_radius)
-    safe = min(p.safe_radius for p in grid.partitions.values())
+    safe = min(p.safe_radius for p in grid.values())
     if reach > safe:
         xi = np.abs(np.fft.fftfreq(part_b.N, d=part_b.L / part_b.N))
         mask &= xi <= safe * 0.98
@@ -377,19 +347,18 @@ def box_opnorm_montecarlo(k: int, source: SpaceParams, target: SpaceParams,
 
     best = max(best, max(one_trial(seed * 1000003 + t) for t in range(trials)))
     return OpNormSample(j=int(round(eff_logscale(k, b))), k=k,
-                        witness=WITNESS_MONTECARLO, lower_bound=best,
+                        witness="montecarlo", lower_bound=best,
                         eff_logscale=eff_logscale(k, b))
 
 
 # -- growth-rate verification -------------------------------------------------
 
-_WITNESS_TERM = {WITNESS_UNIFORM: 0, WITNESS_CONCENTRATED: 1, WITNESS_SPREAD: 2}
-
-
 def growth_rate_check(source: SpaceParams, target: SpaceParams, j_range, *,
                       seed: int = 0) -> dict:
     """Sweep the localized-norm lower bounds over octaves and compare the
     fitted growth slopes with the closed-form index."""
+    if source.n != 1 or target.n != 1:
+        raise ParameterError("rate sweeps measure one-dimensional windows: they need n = 1")
     if float(source.rq) != float(target.rq):
         raise ParameterError("rate sweeps are defined for a shared q")
     if float(target.rp) > float(source.rp):
@@ -408,28 +377,27 @@ def growth_rate_check(source: SpaceParams, target: SpaceParams, j_range, *,
     samples = []
     skipped = []
     for j in js:
-        # plan_grid needs more than c grid points for a window centred at
-        # c, so none fits beyond DEFAULT_BUDGET; further out the window's
-        # geometry leaves float range
+        # an octave whose windows leave float range has no grid either
         try:
             k = anchor_for_octave(j, b)
-            fits = ball_geometry(k, b)[0] <= DEFAULT_BUDGET
-        except OverflowError:
-            fits = False
-        grid = plan_grid(source, target, k, l_fine=matched_fine_index(k, a, b)) if fits else None
+            l_fine = matched_fine_index(k, a, b)
+        except (OverflowError, DomainError):
+            grid = None
+        else:
+            grid = plan_grid(source, target, k, l_fine=l_fine)
         if grid is None:
             skipped.append({"j": j, "reason": "grid budget"})
             continue
         try:
             got = box_opnorm_lower(k, source, target, grid)
             samples.extend(got)
-            if not any(s.witness == WITNESS_SPREAD for s in got):
+            if got[-1].witness != TERM_LABELS[-1]:
                 skipped.append({"j": j, "reason": "spread witness unavailable"})
         except (GeometryError, TruncationError) as exc:
             skipped.append({"j": j, "reason": str(exc)})
     fits = {}
     slopes = {}
-    for witness in (WITNESS_UNIFORM, WITNESS_CONCENTRATED, WITNESS_SPREAD):
+    for witness in TERM_LABELS:
         pts = [(s.eff_logscale, s.lower_bound) for s in samples
                if s.witness == witness and s.lower_bound > 0]
         if len(pts) >= 3:
@@ -447,10 +415,8 @@ def growth_rate_check(source: SpaceParams, target: SpaceParams, j_range, *,
         "branch": predicted.branch,
         "predicted_terms": [float(t) for t in predicted.terms],
         "predicted_rate": predicted_value,
-        "witness_slopes": {w: slopes.get(w) for w in
-                           (WITNESS_UNIFORM, WITNESS_CONCENTRATED, WITNESS_SPREAD)},
-        "witness_term_targets": {w: float(predicted.terms[i])
-                                 for w, i in _WITNESS_TERM.items()},
+        "witness_slopes": {w: slopes.get(w) for w in TERM_LABELS},
+        "witness_term_targets": {w: float(t) for w, t in zip(TERM_LABELS, predicted.terms)},
         "witness_fits": {w: asdict(f) for w, f in fits.items()},
         "max_slope": max_slope,
         "tolerance": SLOPE_TOLERANCE,
@@ -535,6 +501,8 @@ def embedding_consistency_check(source: SpaceParams, target: SpaceParams,
     bounded truncations must accompany an embedding with clear margin.
     Verdicts within the boundary band are reported as skipped.
     """
+    if source.n != 1 or target.n != 1:
+        raise ParameterError("consistency sweeps measure one-dimensional windows: they need n = 1")
     if float(target.rp) > float(source.rp):
         raise ParameterError("consistency sweeps require 1/p2 <= 1/p1")
     a1, a2 = float(source.alpha), float(target.alpha)
@@ -551,9 +519,8 @@ def embedding_consistency_check(source: SpaceParams, target: SpaceParams,
             grid = plan_grid(source, target, 1)
             if grid is None:
                 raise GeometryError("budget too small for the base grid")
-            f = witness_bump(0, b, grid.partition(b))
-            lower[0] = _norm_ratio(f, grid.partition(b).member(0), source, target,
-                                   grid.partition(a1), grid.partition(a2))
+            f = witness_bump(0, b, grid[b])
+            lower[0] = _norm_ratio(f, grid[b].member(0), source, target, grid[a1], grid[a2])
             continue
         grid = plan_grid(source, target, k)
         if grid is None:

@@ -105,7 +105,11 @@ def warp_radius_inv(y: float, alpha: float) -> float:
         return float(y)
     y = float(y)
     expo = -float(alpha) / 2.0
-    lo, hi = 0.0, max(y, y ** (1.0 / (1.0 - alpha))) * 2.0 + 1.0
+    try:
+        lo, hi = 0.0, max(y, y ** (1.0 / (1.0 - alpha))) * 2.0 + 1.0
+    except OverflowError:
+        raise DomainError(
+            f"the unwarped radius of {y} at alpha = {alpha} is beyond float range") from None
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid * (1.0 + mid * mid) ** expo < y:
@@ -123,21 +127,32 @@ def ball_geometry(k: Index, alpha: float):
     """Center <k>^{alpha/(1-alpha)} k and scale <k>^{alpha/(1-alpha)}.
 
     Only defined for alpha < 1; dyadic members are addressed by octave j.
+    A window whose centre squared leaves float range is a DomainError: the
+    warp and the window profiles square it.
     """
     if not (0 <= alpha < 1):
         raise ParameterError(
             "ball geometry applies to alpha in [0, 1); use dyadic addressing at alpha = 1")
-    if isinstance(k, (int, np.integer)):
-        kf = float(k)
-        scale = float((1.0 + kf * kf) ** (alpha / (2.0 * (1.0 - alpha))))
-        return scale * kf, scale
-    kv = np.asarray(k, dtype=float)
-    ksq = float(np.sum(kv * kv))
-    scale = (1.0 + ksq) ** (alpha / (2.0 * (1.0 - alpha)))
-    center = scale * kv
+    expo = alpha / (2.0 * (1.0 - alpha))
+    try:
+        if isinstance(k, (int, np.integer)):
+            kf = float(k)
+            scale = float((1.0 + kf * kf) ** expo)
+            center = scale * kf
+            square = center * center
+        else:
+            with np.errstate(over="ignore"):
+                kv = np.asarray(k, dtype=float)
+                scale = float((1.0 + float(np.sum(kv * kv))) ** expo)
+                center = scale * kv
+                square = float(np.sum(center * center))
+    except OverflowError:
+        square = math.inf
+    if not math.isfinite(square):
+        raise DomainError(f"window {k!r} at alpha = {alpha} is centred beyond float range")
     if np.ndim(k) == 0:
-        return float(center), float(scale)
-    return center, float(scale)
+        return float(center), scale
+    return center, scale
 
 
 @dataclass(frozen=True)
@@ -200,11 +215,15 @@ class Covering:
         return warp(np.asarray(center, dtype=float), self.alpha, self.n)
 
     def _min_lattice_gap(self) -> float:
-        # gaps between consecutive axis points k = 0, ..., 513
+        # gaps between consecutive axis points k = 0, ..., 513, as far as
+        # their centres squared stay in float range
         ks = np.arange(0, 514, dtype=float)
-        y = warp_radius(ks * (1.0 + ks * ks) ** (self.alpha / (2 * (1 - self.alpha))),
-                        self.alpha)
-        axis_gap = float(np.min(np.diff(y)))
+        with np.errstate(over="ignore"):
+            centers = ks * (1.0 + ks * ks) ** (self.alpha / (2 * (1 - self.alpha)))
+            centers = centers[np.isfinite(centers * centers)]
+        if centers.size < 2:
+            raise CoveringError(f"the lattice of alpha={self.alpha} leaves float range at k = 1")
+        axis_gap = float(np.min(np.diff(warp_radius(centers, self.alpha))))
         if self.n == 1:
             return axis_gap
         # two dimensions: check near-diagonal pairs on a probe patch
@@ -212,7 +231,10 @@ class Covering:
         pts = {}
         for kx in rng:
             for ky in rng:
-                c, _ = ball_geometry((kx, ky), self.alpha)
+                try:
+                    c, _ = ball_geometry((kx, ky), self.alpha)
+                except DomainError:
+                    continue
                 pts[(kx, ky)] = warp(np.asarray(c), self.alpha, 2)
         best = axis_gap
         offs = [(1, 0), (0, 1), (1, 1), (1, -1)]

@@ -201,37 +201,40 @@ def _check_band(f: GridFunction, partition: Partition, spec_flat: np.ndarray):
             f"spectral mass fraction {outside / total:.3e} outside the safe window")
 
 
-def _live_windows(spec_flat: np.ndarray, partition: Partition) -> np.ndarray:
+def _live_windows(spec_flat: np.ndarray, bins: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Positions of the windows whose spectrum piece is not negligible:
     its largest magnitude exceeds 1e-16 of the spectrum's peak."""
     peak = float(np.abs(spec_flat).max()) if spec_flat.size else 0.0
-    filled = np.flatnonzero(np.diff(partition.offsets))
+    filled = np.flatnonzero(np.diff(offsets))
     if peak == 0.0 or filled.size == 0:
         return filled[:0]
-    local_max = np.maximum.reduceat(np.abs(spec_flat[partition.idx]),
-                                    partition.offsets[filled])
+    local_max = np.maximum.reduceat(np.abs(spec_flat[bins]), offsets[filled])
     return filled[local_max > 1e-16 * peak]
 
 
-def window_lp_norms(spec_flat: np.ndarray, partition: Partition, rp) -> np.ndarray:
+def window_lp_norms(spec_flat: np.ndarray, bins: np.ndarray, samples: np.ndarray,
+                    offsets: np.ndarray, grid: tuple, rp) -> np.ndarray:
     """L^p norm of each window's piece of a flat fft-layout spectrum.
 
-    Each live window's piece goes through one inverse FFT in a reused
-    N^n buffer; negligible and empty windows are 0.
+    Windows are packed rows: window i samples its window function at the
+    spectrum positions bins[offsets[i]:offsets[i + 1]] with the values
+    samples[offsets[i]:offsets[i + 1]], on the grid (n, N, L).  Each live
+    window's piece goes through one inverse FFT in a reused N^n buffer;
+    negligible and empty windows are 0.
     """
-    n, N, L = partition.n, partition.N, partition.L
+    n, N, L = grid
     rp = float(rp)
-    out = np.zeros(len(partition.members))
-    pieces = spec_flat[partition.idx] * partition.values
+    out = np.zeros(len(offsets) - 1)
+    pieces = spec_flat[bins] * samples
     buf = np.zeros(N ** n, dtype=complex)
-    grid = buf.reshape((N,) * n)
+    dense = buf.reshape((N,) * n)
     scale, cell_volume = (N / L) ** n, (L / N) ** n
-    for i in _live_windows(spec_flat, partition).tolist():
-        lo, hi = partition.offsets[i], partition.offsets[i + 1]
-        bins = partition.idx[lo:hi]
-        buf[bins] = pieces[lo:hi]
-        out[i] = sample_lp(np.abs(np.fft.ifftn(grid) * scale), rp, cell_volume)
-        buf[bins] = 0.0
+    for i in _live_windows(spec_flat, bins, offsets).tolist():
+        lo, hi = offsets[i], offsets[i + 1]
+        at = bins[lo:hi]
+        buf[at] = pieces[lo:hi]
+        out[i] = sample_lp(np.abs(np.fft.ifftn(dense) * scale), rp, cell_volume)
+        buf[at] = 0.0
     return out
 
 
@@ -245,7 +248,8 @@ def space_norm(f: GridFunction, params: SpaceParams, partition: Partition) -> No
     _check_same_grid(f, partition.n, partition.N, partition.L)
     spec = spectrum(f)
     _check_band(f, partition, spec)
-    norms = window_lp_norms(spec, partition, params.rp)
+    norms = window_lp_norms(spec, partition.idx, partition.values, partition.offsets,
+                            (partition.n, partition.N, partition.L), params.rp)
     weights = smoothness_weights(partition.bases, params.s, params.alpha)
     return NormResult(value=weighted_lq(norms, params.rq, weights),
                       pieces=dict(zip(partition.indices(), norms.tolist())),
@@ -269,7 +273,7 @@ def coarse_norm(f: GridFunction, alpha1, alpha2, s, rp, rq,
     _check_band(f, partition2, spec)
     inner_params = SpaceParams(rp=rp, rq=rq, s=0, alpha=alpha1, n=f.n)
     outer = np.zeros(len(partition2.members))
-    for i in _live_windows(spec, partition2).tolist():
+    for i in _live_windows(spec, partition2.idx, partition2.offsets).tolist():
         piece = box_apply(f, partition2.members[i])
         outer[i] = space_norm(piece, inner_params, partition1).value
     return weighted_lq(outer, rq, smoothness_weights(partition2.bases, s, alpha2))

@@ -92,8 +92,8 @@ class TestLabPartitions:
         l_fine = matched_fine_index(4, 0.0, 1 / 3)
         grid = plan_grid(src, tgt, 4, l_fine=l_fine)
         third = covering_for(CoveringSpec(alpha=1 / 3, n=1))
-        assert grid.partition(tgt.alpha).covering is third
-        assert grid.partition(src.alpha).covering is covering_for(CoveringSpec(alpha=0.0, n=1))
+        assert grid[float(tgt.alpha)].covering is third
+        assert grid[float(src.alpha)].covering is covering_for(CoveringSpec(alpha=0.0, n=1))
         assert covering_for.cache_info().currsize == 2
 
     def test_partition_for_is_shared_and_cleared_alone(self):
@@ -111,6 +111,101 @@ class TestLabPartitions:
         assert asymptotics.partition_for.cache_info().currsize == 0
         assert covering_for.cache_info().currsize == coverings
         assert asymptotics.partition_for(0.25, 2 ** 10, 4.0) is not part
+
+    @pytest.mark.parametrize("alphas", [(0.01, 0.75), (0.75, 0.75), (0.0, 0.5)])
+    @pytest.mark.parametrize("k", [300, 2 ** 128, 2 ** 256])
+    def test_no_grid_beyond_the_budget(self, alphas, k):
+        # windows centred beyond DEFAULT_BUDGET points, float range included
+        src, tgt = sp(1, 0, 0, alphas[0]), sp(0, 0, 0, alphas[1])
+        assert plan_grid(src, tgt, k) is None
+
+
+# -- the dense per-window loop that _spread_ratio ran before it measured
+# through grids.window_lp_norms, kept as the reference it must match bit
+# for bit
+
+def _reference_spread_ratio(k, source, target):
+    from alphamod.covering import ball_geometry, neighbor_set
+    from alphamod.grids import bump_train, sample_lp, weighted_lq
+
+    a1, a2 = float(source.alpha), float(target.alpha)
+    a, b = min(a1, a2), max(a1, a2)
+    cov_b, cov_a = asymptotics.lab_covering(b), asymptotics.lab_covering(a)
+    if a == b:
+        members = [k]
+    else:
+        members = sorted(neighbor_set("GammaTilde", k, (a, b)).members)
+        if len(members) < 3:
+            return None
+    frac = asymptotics.lab_witness_fraction(a)
+    c_ref, _ = ball_geometry(k, b)
+    geo = {l: ball_geometry(l, a) for l in members}
+    wmax = max(1.0 / (frac * geo[l][1]) for l in members)
+    count = len(members)
+
+    def build(sep):
+        pitch = sep * wmax
+        L = max(24.0, ((count - 1) * pitch + 8.0 * wmax) / 0.7)
+        band = max(abs(geo[l][0] - c_ref) + frac * geo[l][1] for l in members)
+        N = asymptotics._next_pow2(2.0 * L * (band * 1.05 + 8.0 / L + 0.5))
+        if N > asymptotics.DEFAULT_BUDGET:
+            return None
+        xi = np.fft.fftfreq(N, d=L / N) + c_ref
+        return N, L, xi, bump_train(xi, [geo[l] for l in members], pitch, frac)
+
+    def measure(built):
+        N, L, xi, total = built
+        coarse = (k - 1, k, k + 1)
+        eta_b = dict(zip(coarse, cov_b.normalized_windows(coarse, xi)))
+        boxed = total * eta_b[k]
+
+        def norm_p(spec_flat, rp):
+            return sample_lp(np.abs(np.fft.ifft(spec_flat) * (N / L)), float(rp), L / N)
+
+        def fine_pieces(spec_flat, rp):
+            ls = range(members[0] - 2, members[-1] + 3)
+            return [norm_p(spec_flat * eta_l, rp) for eta_l in cov_a.normalized_windows(ls, xi)]
+
+        def coarse_pieces(spec_flat, rp):
+            return [norm_p(spec_flat * eta_b[m], rp) for m in coarse]
+
+        if a1 <= a2:
+            num = weighted_lq(coarse_pieces(boxed, target.rp), target.rq)
+            den = weighted_lq(fine_pieces(total, source.rp), source.rq)
+        else:
+            num = weighted_lq(fine_pieces(boxed, target.rp), target.rq)
+            den = weighted_lq(coarse_pieces(total, source.rp), source.rq)
+        return num / den
+
+    built = build(3.0) or build(2.0)
+    if built is None:
+        return None
+    value = measure(built)
+    if count > 1:
+        doubled = build(6.0)
+        if doubled is not None:
+            check = measure(doubled)
+            if abs(check - value) > 0.02 * max(check, value):
+                value = check
+    return value
+
+
+class TestSpreadKernelBitIdentity:
+    """The spread witness equals the old dense per-window loop bit for bit."""
+
+    @pytest.mark.parametrize("pair", [
+        (sp(1, 0.5, 0, 0), sp(1, 0.5, 0, 0.5)),              # LE branch
+        (sp(1, 1, 0, 0.5), sp(0.5, 1, 0, 0)),                # GT branch
+        (sp(1, 2, 0, 0.25), sp(0.5, 2, 0, 0.75)),            # q = 1/2
+    ])
+    @pytest.mark.parametrize("j", [5, 7])
+    def test_matches_dense_loop(self, pair, j):
+        src, tgt = pair
+        b = max(float(src.alpha), float(tgt.alpha))
+        k = asymptotics.anchor_for_octave(j, b)
+        got = asymptotics._spread_ratio(k, src, tgt)
+        assert got is not None
+        assert got == _reference_spread_ratio(k, src, tgt)
 
 
 class TestMonteCarlo:
@@ -187,6 +282,13 @@ class TestGrowthRateCheck:
         asymptotics._partition_cache.clear()
         second = growth_rate_check(src, tgt, range(4, 8), seed=3)
         assert second == first
+
+    def test_two_dimensions_rejected(self):
+        # the sweeps measure one-dimensional windows only
+        with pytest.raises(ParameterError, match="n = 1"):
+            growth_rate_check(sp(1, 0, 0, 0, n=2), sp(0, 0, 0, 0.5, n=2), range(4, 8))
+        with pytest.raises(ParameterError, match="n = 1"):
+            embedding_consistency_check(sp(1, 0, 0, 0, n=2), sp(0, 0, 0, 0.25, n=2))
 
     def test_octave_beyond_float_range_skipped(self):
         src, tgt = sp(1, 0, 0, 0), sp(0, 0, 0, 0.5)

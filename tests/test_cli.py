@@ -4,6 +4,7 @@ import json
 import math
 import random
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,30 @@ class TestRejectedInputs:
         status, out, err = invoke(["covering", "--alpha", "1e400", "--grid", "64,1"], capsys)
         assert status == EXIT_CONFIG
         assert out == "" and "config error" in err
+
+    def test_covering_near_alpha_one(self, capsys):
+        # the lattice gap probe used to overflow here and report a negative gap
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status, _, err = invoke(["covering", "--alpha", "0.99", "--grid", "1024,8"], capsys)
+        assert caught == []
+        assert status in (EXIT_OK, EXIT_INTERNAL)
+        assert "gap -" not in err
+
+    @pytest.mark.parametrize("target, dilation", [("p=inf,q=inf,s=0,alpha=0.5", False),
+                                                  ("p=1/2,q=inf,s=0,alpha=0.5", True)])
+    def test_sweeps_need_one_dimension(self, capsys, target, dilation):
+        source = "p=1,q=inf,s=0,alpha=0"
+        status, _, err = invoke(["verify-asymptotics", "--n", "2", "--source", source,
+                                 "--target", target, "--j-range", "4:8"], capsys)
+        assert status == EXIT_PRECONDITION and "n = 1" in err
+        status, out, err = invoke(["verify-embedding", "--n", "2", "--source", source,
+                                   "--target", target], capsys)
+        if dilation:
+            assert status == EXIT_OK
+            assert json.loads(out)["result"]["dilation"]["n"] == 2
+        else:
+            assert status == EXIT_PRECONDITION and "n = 1" in err
 
     @pytest.mark.parametrize("grid", ["4096,nan", "4096,inf", "4096,-8", "4096,0",
                                       "100,8", "0,8", "-64,8"])

@@ -1,6 +1,7 @@
 """Covering geometry, partition-of-unity construction, and index sets."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from alphamod.covering import (
     warp_radius,
     warp_radius_inv,
 )
-from alphamod.errors import CoveringError, GeometryError, ParameterError, TruncationError
+from alphamod.errors import (CoveringError, DomainError, GeometryError, ParameterError,
+                             TruncationError)
 
 
 class TestBallGeometry:
@@ -55,6 +57,20 @@ class TestBallGeometry:
         center, scale = ball_geometry((0, 3), 0.5)
         assert scale == pytest.approx(math.sqrt(10.0))
         assert np.allclose(center, [0.0, 3.0 * math.sqrt(10.0)])
+
+    @pytest.mark.parametrize("k, alpha", [(2 ** 2000, 0.5), (2 ** 600, 0.0), (2 ** 300, 0.75),
+                                          ((2 ** 600, 0), 0.0), ((0, 2 ** 300), 0.75)])
+    def test_centre_beyond_float_range(self, k, alpha):
+        with pytest.raises(DomainError, match="float range"):
+            ball_geometry(k, alpha)
+
+    @pytest.mark.parametrize("k", [2 ** 128, 2 ** 256])
+    def test_lattice_image_beyond_float_range(self, k):
+        # the image was 0 (centre squared overflowed) or NaN (centre overflowed)
+        with pytest.raises(DomainError):
+            Covering(CoveringSpec(alpha=0.75, n=1)).lattice_image(k)
+        with pytest.raises(DomainError):
+            Covering(CoveringSpec(alpha=0.75, n=2)).lattice_image((k, 0))
 
 
 class TestWarp:
@@ -604,6 +620,36 @@ class TestHighAlpha:
         report = verify_partition(part)
         assert report.sum_deviation <= 1e-10
         assert len(part.members) >= 3
+
+    def test_gap_probe_matches_full_probe_up_to_098(self):
+        for alpha in np.linspace(0.0, 0.98, 50).tolist():
+            ks = np.arange(0, 514, dtype=float)
+            y = warp_radius(ks * (1.0 + ks * ks) ** (alpha / (2 * (1 - alpha))), alpha)
+            gap = Covering(CoveringSpec(alpha=alpha, n=1))._min_lattice_gap()
+            assert gap == float(np.min(np.diff(y)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("alpha", [0.99, 0.995, 0.999])
+    def test_gap_probe_stops_at_float_range(self, alpha, n):
+        # beyond alpha = 0.983 the axis probe used to overflow and report a
+        # negative gap
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                cov = Covering(CoveringSpec(alpha=alpha, n=n))
+            except CoveringError as exc:   # two dimensions: the gap is too small
+                assert "gap -" not in str(exc)
+            else:
+                assert cov._min_lattice_gap() > cov.r0 + cov.delta
+        assert caught == []
+
+    def test_lattice_beyond_float_range_at_one(self):
+        with pytest.raises(CoveringError, match="float range"):
+            Covering(CoveringSpec(alpha=0.9995, n=1))
+
+    def test_unwarp_beyond_float_range(self):
+        with pytest.raises(DomainError, match="float range"):
+            warp_radius_inv(3.0, 0.999)
 
 
 class TestExport:
