@@ -11,7 +11,6 @@ into reproducible runs.
 
 from .covering import (
     CoveringSpec,
-    IndexSet,
     PartitionMember,
     Partition,
     ball_geometry,

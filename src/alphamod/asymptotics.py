@@ -214,7 +214,7 @@ def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams) -> Optional[
     if a == b:
         members = [k]
     else:
-        members = sorted(neighbor_set("GammaTilde", k, (a, b)).members)
+        members = sorted(neighbor_set("GammaTilde", k, (a, b)))
         # below 3 absorbed windows the count-scaling regime has not set in
         # and the sample only adds boundary noise to the fit
         if len(members) < 3:
@@ -319,7 +319,7 @@ def box_opnorm_montecarlo(k: int, source: SpaceParams, target: SpaceParams,
 
     from .covering import neighbor_set
 
-    star = neighbor_set("LambdaStar", k, b).members
+    star = neighbor_set("LambdaStar", k, b)
     size = part_b.N ** part_b.n
     mask = np.zeros(size, dtype=bool)
     reach = 0.0

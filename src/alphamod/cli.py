@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Optional
 
 from .covering import (
@@ -102,54 +102,17 @@ def parse_grid(text: str):
     return N, L
 
 
-@dataclass
-class RunConfig:
-    command: str
-    source: Optional[SpaceParams] = None
-    target: Optional[SpaceParams] = None
-    n: int = 1
-    N: int = 4096
-    L: float = 8.0
-    alpha: float = 0.0
-    c_small: Optional[float] = None
-    c_big: Optional[float] = None
-    k_max: Optional[int] = None
-    seed: int = 0
-    out: Optional[str] = None
-    fmt: str = "json"
-    builtin: Optional[str] = None
-    input_path: Optional[str] = None
-    dump_samples: Optional[str] = None
-    j_min: int = 4
-    j_max: int = 9
-    truncation: int = 32
+# every report's config echoes these, then the keys its command sets as report_keys
+_COMMON_KEYS = ("command", "n", "N", "L", "seed", "format")
 
-    def describe(self) -> dict:
-        cfg = {
-            "command": self.command,
-            "n": self.n,
-            "N": self.N,
-            "L": self.L,
-            "seed": self.seed,
-            "format": self.fmt,
-        }
-        if self.source is not None:
-            cfg["source"] = _space_fields(self.source)
-        if self.target is not None:
-            cfg["target"] = _space_fields(self.target)
-        if self.command == "covering":
-            cfg["alpha"] = self.alpha
-            cfg["c_small"] = self.c_small
-            cfg["c_big"] = self.c_big
-            cfg["k_max"] = self.k_max
-        if self.command == "normcalc":
-            cfg["builtin"] = self.builtin
-            cfg["input"] = self.input_path
-        if self.command == "verify-asymptotics":
-            cfg["j_range"] = [self.j_min, self.j_max]
-        if self.command == "verify-embedding":
-            cfg["truncation"] = self.truncation
-        return cfg
+
+def describe(args) -> dict:
+    """The resolved configuration a report embeds."""
+    cfg = {key: getattr(args, key) for key in _COMMON_KEYS + args.report_keys}
+    for name in ("source", "target"):
+        if getattr(args, name, None) is not None:
+            cfg[name] = _space_fields(getattr(args, name))
+    return cfg
 
 
 def _space_fields(p: SpaceParams) -> dict:
@@ -167,40 +130,29 @@ def _breakdown_dict(bd) -> dict:
     }
 
 
-def run(config: RunConfig):
-    """Execute one command; returns (exit_status, report dict)."""
-    handler = {
-        "decide": _run_decide,
-        "index": _run_index,
-        "covering": _run_covering,
-        "normcalc": _run_normcalc,
-        "verify-asymptotics": _run_verify_asymptotics,
-        "verify-embedding": _run_verify_embedding,
-    }.get(config.command)
-    if handler is None:
-        raise ParameterError(f"unknown command {config.command!r}")
-    result = handler(config)
-    report = {"schema": SCHEMA, "command": config.command,
-              "config": config.describe(), "result": result}
-    return EXIT_OK, report
+def run(args) -> dict:
+    """Execute the command of a resolved namespace; returns its report."""
+    result = args.handler(args)
+    return {"schema": SCHEMA, "command": args.command, "config": describe(args),
+            "result": result}
 
 
-def _require_spaces(config: RunConfig):
-    if config.source is None or config.target is None:
+def _require_spaces(args):
+    if args.source is None or args.target is None:
         raise ParameterError("this command needs --source and --target")
 
 
-def _run_decide(config: RunConfig) -> dict:
-    _require_spaces(config)
-    verdict = embedding_decide(config.source, config.target)
+def _run_decide(args) -> dict:
+    _require_spaces(args)
+    verdict = embedding_decide(args.source, args.target)
     out = verdict.to_dict()
     out["breakdown"] = _breakdown_dict(verdict.breakdown)
     return out
 
 
-def _run_index(config: RunConfig) -> dict:
-    _require_spaces(config)
-    src, tgt = config.source, config.target
+def _run_index(args) -> dict:
+    _require_spaces(args)
+    src, tgt = args.source, args.target
     if src.n != tgt.n:
         raise ParameterError(f"dimension mismatch: {src.n} vs {tgt.n}")
     bd = embedding_index(src.n, src.rp, tgt.rp, src.rq, tgt.rq, src.alpha, tgt.alpha)
@@ -214,14 +166,13 @@ def _run_index(config: RunConfig) -> dict:
     return out
 
 
-def _run_covering(config: RunConfig) -> dict:
-    spec = CoveringSpec(alpha=config.alpha, n=config.n,
-                        c_small=config.c_small if config.c_small is not None else 0.4,
-                        c_big=config.c_big, k_max=config.k_max)
-    part = build_partition(spec, N=config.N, L=config.L)
+def _run_covering(args) -> dict:
+    given = {} if args.c_small is None else {"c_small": args.c_small, "c_big": args.c_big}
+    spec = CoveringSpec(alpha=args.alpha, n=args.n, k_max=args.k_max, **given)
+    part = build_partition(spec, N=args.N, L=args.L)
     report = verify_partition(part)
-    if config.dump_samples:
-        dump_partition_samples(part, config.dump_samples)
+    if args.dump_samples:
+        dump_partition_samples(part, args.dump_samples)
     out = asdict(report)
     out["members"] = partition_rows(part)
     if part.covering is not None:
@@ -230,47 +181,47 @@ def _run_covering(config: RunConfig) -> dict:
     return out
 
 
-def _run_normcalc(config: RunConfig) -> dict:
-    if config.source is None:
+def _run_normcalc(args) -> dict:
+    if args.source is None:
         raise ParameterError("normcalc needs --source for the space parameters")
-    if config.input_path:
-        if config.input_path.endswith(".csv"):
-            f = load_grid_function_csv(config.input_path)
+    if args.input:
+        if args.input.endswith(".csv"):
+            f = load_grid_function_csv(args.input)
         else:
-            f = load_grid_function(config.input_path)
+            f = load_grid_function(args.input)
         if f.N ** f.n > MAX_GRID_POINTS:
-            raise ParameterError(f"{config.input_path} holds a grid of {f.N}^{f.n} points, "
+            raise ParameterError(f"{args.input} holds a grid of {f.N}^{f.n} points, "
                                  f"more than {MAX_GRID_POINTS}")
-    elif config.builtin:
-        f = builtin_function(config.builtin, config.n, config.N, config.L)
+    elif args.builtin:
+        f = builtin_function(args.builtin, args.n, args.N, args.L)
     else:
         raise ParameterError("normcalc needs --input FILE or --builtin NAME")
-    spec = CoveringSpec(alpha=float(config.source.alpha), n=f.n)
+    spec = CoveringSpec(alpha=float(args.source.alpha), n=f.n)
     part = build_partition(spec, N=f.N, L=f.L)
-    res = space_norm(f, config.source, part)
+    res = space_norm(f, args.source, part)
     return res.to_dict()
 
 
-def _run_verify_asymptotics(config: RunConfig) -> dict:
-    _require_spaces(config)
+def _run_verify_asymptotics(args) -> dict:
+    _require_spaces(args)
     from .asymptotics import growth_rate_check
 
-    return growth_rate_check(config.source, config.target,
-                         range(config.j_min, config.j_max + 1), seed=config.seed)
+    lo, hi = args.j_range
+    return growth_rate_check(args.source, args.target, range(lo, hi + 1), seed=args.seed)
 
 
-def _run_verify_embedding(config: RunConfig) -> dict:
-    _require_spaces(config)
+def _run_verify_embedding(args) -> dict:
+    _require_spaces(args)
     from .asymptotics import dilation_necessity_check, embedding_consistency_check
 
-    src, tgt = config.source, config.target
+    src, tgt = args.source, args.target
     verdict = embedding_decide(src, tgt)
     out = {"verdict": verdict.to_dict()}
     if float(tgt.rp) > float(src.rp):
         out["dilation"] = dilation_necessity_check(src.rp, tgt.rp, src.n)
     else:
         out["consistency"] = embedding_consistency_check(
-            src, tgt, truncation=config.truncation, seed=config.seed)
+            src, tgt, truncation=args.truncation, seed=args.seed)
     return out
 
 
@@ -346,28 +297,30 @@ def build_parser() -> argparse.ArgumentParser:
                     "for covering-decomposition function spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each subcommand takes only the options it reads
+    # each subcommand takes only the options it reads; every report shows a
+    # grid and a seed, so commands without --grid or --seed report 4096,8 and 0
     space_help = {"source": "space parameters, e.g. p=2,q=inf,s=1/2,alpha=0",
                   "target": "space parameters of the target"}
 
-    def common(p, spaces=("source", "target")):
-        for name in spaces:
-            p.add_argument(f"--{name}", help=space_help[name])
+    def command(name, handler, help, spaces=("source", "target"), report_keys=()):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, report_keys=report_keys, grid="4096,8", seed=0)
+        for space in spaces:
+            p.add_argument(f"--{space}", help=space_help[space])
         p.add_argument("--n", type=int, default=1, help="spatial dimension")
         p.add_argument("--out", default=None, help="write the report to a file")
         p.add_argument("--format", default="json", choices=("json", "csv", "text"))
+        return p
 
     def grid(p):
-        p.add_argument("--grid", default=None, help="N,L for sampled computations")
+        p.add_argument("--grid", help="N,L for sampled computations")
 
-    def seed(p):
-        p.add_argument("--seed", type=int, default=0)
+    command("decide", _run_decide, "decide the embedding relation")
+    command("index", _run_index, "evaluate the growth index and regions")
 
-    common(sub.add_parser("decide", help="decide the embedding relation"))
-    common(sub.add_parser("index", help="evaluate the growth index and regions"))
-
-    cov = sub.add_parser("covering", help="build, verify and export a partition")
-    common(cov, spaces=())
+    cov = command("covering", _run_covering, "build, verify and export a partition",
+                  spaces=(), report_keys=("alpha", "c_small", "c_big", "k_max"))
+    cov.set_defaults(c_small=None, c_big=None)
     grid(cov)
     cov.add_argument("--alpha-constants", default=None,
                      help="c,C covering constants (warped units)")
@@ -376,84 +329,70 @@ def build_parser() -> argparse.ArgumentParser:
     cov.add_argument("--dump-samples", default=None,
                      help="write the binary sample dump to this path")
 
-    norm = sub.add_parser("normcalc", help="covering norm of a sampled function")
-    common(norm, spaces=("source",))
+    norm = command("normcalc", _run_normcalc, "covering norm of a sampled function",
+                   spaces=("source",), report_keys=("builtin", "input"))
     grid(norm)
     norm.add_argument("--builtin", choices=("gaussian", "bump", "tone"))
-    norm.add_argument("--input", dest="input_path", default=None,
-                      help="GridFunction file (.bin or .csv)")
+    norm.add_argument("--input", default=None, help="GridFunction file (.bin or .csv)")
 
-    va = sub.add_parser("verify-asymptotics", help="growth-rate sweep report")
-    common(va)
-    seed(va)
+    va = command("verify-asymptotics", _run_verify_asymptotics, "growth-rate sweep report",
+                 report_keys=("j_range",))
+    va.add_argument("--seed", type=int)
     va.add_argument("--j-range", default="4:9", help="octave range lo:hi")
 
-    ve = sub.add_parser("verify-embedding", help="consistency / necessity checks")
-    common(ve)
-    seed(ve)
+    ve = command("verify-embedding", _run_verify_embedding, "consistency / necessity checks",
+                 report_keys=("truncation",))
+    ve.add_argument("--seed", type=int)
     ve.add_argument("--truncation", type=int, default=32)
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.n = getattr(args, "n", 1)
-    cfg.seed = getattr(args, "seed", 0)
-    cfg.out = getattr(args, "out", None)
-    cfg.fmt = getattr(args, "format", "json")
-    if getattr(args, "grid", None):
-        cfg.N, cfg.L = parse_grid(args.grid)
-    sampled = args.command == "covering" or (args.command == "normcalc" and not args.input_path)
-    if sampled and cfg.n * math.log2(cfg.N) > math.log2(MAX_GRID_POINTS):
+def config_from_args(args):
+    """Check and resolve a parsed namespace in place; returns it."""
+    args.N, args.L = parse_grid(args.grid)
+    sampled = args.command == "covering" or (args.command == "normcalc" and not args.input)
+    if sampled and args.n * math.log2(args.N) > math.log2(MAX_GRID_POINTS):
         raise ParameterError(
-            f"grid {cfg.N},{cfg.L:g} in {cfg.n} dimensions has {cfg.N}^{cfg.n} points, "
+            f"grid {args.N},{args.L:g} in {args.n} dimensions has {args.N}^{args.n} points, "
             f"more than 2^20; give a smaller --grid N,L")
     if getattr(args, "alpha_constants", None):
         parts = args.alpha_constants.split(",")
         if len(parts) != 2:
             raise ParameterError("--alpha-constants wants 'c,C'")
-        cfg.c_small, cfg.c_big = float(parts[0]), float(parts[1])
-        if not all(math.isfinite(c) and c > 0 for c in (cfg.c_small, cfg.c_big)):
+        args.c_small, args.c_big = float(parts[0]), float(parts[1])
+        if not all(math.isfinite(c) and c > 0 for c in (args.c_small, args.c_big)):
             raise ParameterError("covering constants must be positive and finite")
-    if getattr(args, "source", None):
-        cfg.source = parse_space(args.source, cfg.n)
-    if getattr(args, "target", None):
-        cfg.target = parse_space(args.target, cfg.n)
+    spaces = [name for name in ("source", "target") if hasattr(args, name)]
+    for name in spaces:
+        text = getattr(args, name)
+        setattr(args, name, parse_space(text, args.n) if text else None)
     # exact fields stay exact, but reports and sweeps convert them to floats
-    for space in filter(None, (cfg.source, cfg.target)):
+    for space in filter(None, (getattr(args, name) for name in spaces)):
         for name in ("rp", "rq", "s", "alpha"):
             try:
                 float(getattr(space, name))
             except OverflowError:
                 raise ParameterError(f"{name} must be finite as a float") from None
     if args.command == "covering":
-        cfg.alpha = float(as_scalar(args.alpha))
-        cfg.k_max = args.k_max
-        cfg.dump_samples = args.dump_samples
-    if args.command == "normcalc":
-        cfg.builtin = args.builtin
-        cfg.input_path = args.input_path
+        args.alpha = float(as_scalar(args.alpha))
     if args.command == "verify-asymptotics":
         lo, _, hi = args.j_range.partition(":")
-        cfg.j_min, cfg.j_max = int(lo), int(hi or lo)
-        if cfg.j_max < cfg.j_min:
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
             raise ParameterError(f"--j-range {args.j_range!r} is empty: want lo:hi with lo <= hi")
-    if args.command == "verify-embedding":
-        cfg.truncation = args.truncation
-    return cfg
+        args.j_range = [lo, hi]
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
+        config_from_args(args)
     except (ParameterError, ValueError, OverflowError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     try:
-        status, report = run(config)
-        emit(report, config.fmt, config.out)
+        emit(run(args), args.format, args.out)
     except (ParameterError, DomainError) as exc:
         sys.stderr.write(f"precondition failed: {exc}\n")
         return EXIT_PRECONDITION
@@ -466,7 +405,7 @@ def main(argv=None) -> int:
         target = exc.filename or "stdout"
         sys.stderr.write(f"config error: cannot write {target}: {exc.strerror}\n")
         return EXIT_CONFIG
-    return status
+    return EXIT_OK
 
 
 if __name__ == "__main__":

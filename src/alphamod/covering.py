@@ -159,17 +159,17 @@ def ball_geometry(k: Index, alpha: float):
 class CoveringSpec:
     """Constants of one covering; None fields resolve to validated defaults.
 
-    c_big is the window support radius and delta the plateau radius, both
-    in warped coordinates (at alpha = 0 these are plain frequency units).
-    c_small is the inner radius on which each window is required to stay
-    positive.  k_max bounds |k|_inf (alpha < 1) or the octave j (alpha = 1).
+    c_big is the window support radius, in warped coordinates (at alpha = 0
+    these are plain frequency units); the plateau radius is resolved from it
+    and the lattice gap.  c_small is the inner radius on which each window is
+    required to stay positive.  k_max bounds |k|_inf (alpha < 1) or the
+    octave j (alpha = 1).
     """
 
     alpha: float
     n: int = 1
     c_small: float = 0.4
     c_big: Optional[float] = None
-    delta: Optional[float] = None
     k_max: Optional[int] = None
 
     def __post_init__(self):
@@ -193,14 +193,14 @@ class Covering:
         self.n = spec.n
         self.r0 = float(spec.c_big) if spec.c_big is not None else _DEFAULT_SUPPORT[spec.n]
         gap = self._min_lattice_gap()
-        if spec.delta is not None:
-            self.delta = float(spec.delta)
-        else:
-            self.delta = min(_PLATEAU_CAP, gap - self.r0 - _SEPARATION_MARGIN)
-        if self.delta < _PLATEAU_FLOOR or self.r0 + self.delta > gap:
+        self.delta = min(_PLATEAU_CAP, gap - self.r0 - _SEPARATION_MARGIN)
+        if self.delta < _PLATEAU_FLOOR:
             raise CoveringError(
-                f"covering constants infeasible: support {self.r0} + plateau "
-                f"{self.delta} vs minimal lattice gap {gap:.4f} (alpha={self.alpha})")
+                f"covering constants infeasible at alpha={self.alpha}: support radius "
+                f"{self.r0} leaves a plateau radius of {self.delta:.4f} (minimal lattice "
+                f"gap {gap:.4f} - support - margin {_SEPARATION_MARGIN}), below the floor "
+                f"{_PLATEAU_FLOOR}; a smaller support radius C (--alpha-constants c,C) "
+                f"widens the plateau where the windows still cover")
         if not spec.c_small < self.r0:
             raise CoveringError("c_small must stay below the support radius c_big")
         # memo of plateau_fraction by probe
@@ -350,14 +350,6 @@ def covering_for(spec: CoveringSpec) -> Covering:
 _RELATIONS = ("Lambda", "LambdaStar", "Gamma", "GammaTilde")
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    relation: str
-    anchor: Index
-    members: frozenset
-    alphas: tuple
-
-
 def _lattice_box(center: tuple, reach: int) -> list:
     """Lattice points within sup-distance reach of center, in lexicographic
     order; plain ints in one dimension."""
@@ -394,8 +386,8 @@ def _scan_gamma_1d(cov_l: Covering, target, predicate) -> set:
     return members
 
 
-def neighbor_set(relation: str, anchor: Index, alphas, spec=None) -> IndexSet:
-    """Index sets of interacting windows.
+def neighbor_set(relation: str, anchor: Index, alphas) -> frozenset:
+    """Index sets of interacting windows, on the default coverings.
 
     Lambda / LambdaStar take a single alpha; Gamma / GammaTilde take
     (alpha1, alpha2) and collect the alpha1-windows whose supports meet
@@ -411,15 +403,11 @@ def neighbor_set(relation: str, anchor: Index, alphas, spec=None) -> IndexSet:
     if relation in ("Lambda", "LambdaStar"):
         if not single:
             raise ParameterError(f"{relation} takes a single alpha")
-        alpha = float(alphas)
-        base = spec if isinstance(spec, CoveringSpec) else CoveringSpec(alpha=alpha, n=_dim_of(anchor))
-        cov = covering_for(base)
+        cov = covering_for(CoveringSpec(alpha=float(alphas), n=_dim_of(anchor)))
         lam = _lambda_members(cov, int(anchor) if cov.n == 1 else tuple(anchor))
         if relation == "LambdaStar":
             lam = set().union(*(_lambda_members(cov, m) for m in lam))
-        _check_truncation(lam, base.k_max)
-        return IndexSet(relation=relation, anchor=anchor, members=frozenset(lam),
-                        alphas=(alpha,))
+        return frozenset(lam)
 
     if single:
         raise ParameterError(f"{relation} takes a pair (alpha1, alpha2)")
@@ -427,31 +415,19 @@ def neighbor_set(relation: str, anchor: Index, alphas, spec=None) -> IndexSet:
     n = _dim_of(anchor)
     if n != 1:
         raise ParameterError("cross-covering index sets are implemented for n = 1")
-    spec1 = CoveringSpec(alpha=a1, n=1)
-    spec2 = spec if isinstance(spec, CoveringSpec) else CoveringSpec(alpha=a2, n=1)
-    cov1, cov2 = covering_for(spec1), covering_for(spec2)
+    cov1 = covering_for(CoveringSpec(alpha=a1, n=1))
+    cov2 = covering_for(CoveringSpec(alpha=a2, n=1))
     if relation == "Gamma":
         target = cov2.support_interval(int(anchor))
         members = _scan_gamma_1d(cov1, target, lambda s: s[0] < target[1] and target[0] < s[1])
     else:
         target = cov2.exact_one_interval(int(anchor))
         members = _scan_gamma_1d(cov1, target, lambda s: target[0] <= s[0] and s[1] <= target[1])
-    _check_truncation(members, spec1.k_max)
-    return IndexSet(relation=relation, anchor=anchor, members=frozenset(members),
-                    alphas=(a1, a2))
+    return frozenset(members)
 
 
 def _dim_of(anchor: Index) -> int:
     return 1 if np.ndim(anchor) == 0 else len(anchor)
-
-
-def _check_truncation(members, k_max):
-    if k_max is None:
-        return
-    for m in members:
-        if _sup_norm(m) > k_max:
-            raise TruncationError(
-                f"index set reaches |k| = {_sup_norm(m)} beyond k_max = {k_max}")
 
 
 def _sup_norm(k: Index) -> int:

@@ -235,8 +235,7 @@ def test_criterion_9_determinism():
     outputs = []
     for _ in range(2):
         args = build_parser().parse_args(argv)
-        status, report = run(config_from_args(args))
-        assert status == 0
+        report = run(config_from_args(args))
         outputs.append(render(report, "json").encode())
     assert outputs[0] == outputs[1]
     _stamp(9, "byte-identical verify-asymptotics reports for a fixed seed", t0, 120.0)

@@ -134,7 +134,7 @@ def _reference_spread_ratio(k, source, target):
     if a == b:
         members = [k]
     else:
-        members = sorted(neighbor_set("GammaTilde", k, (a, b)).members)
+        members = sorted(neighbor_set("GammaTilde", k, (a, b)))
         if len(members) < 3:
             return None
     frac = asymptotics.lab_witness_fraction(a)

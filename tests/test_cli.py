@@ -15,7 +15,8 @@ from alphamod.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PRECONDITION,
-    RunConfig,
+    build_parser,
+    config_from_args,
     main,
     parse_space,
     render,
@@ -179,6 +180,66 @@ class TestVerifyCommands:
         assert result["dilation"]["slope"] == pytest.approx(-0.5, abs=0.05)
 
 
+_DEFAULT_GRID = {"N": 4096, "L": 8.0}
+
+
+def _config(command, *, n=1, seed=0, fmt="json", **extra):
+    return {"command": command, "n": n, **_DEFAULT_GRID, "seed": seed, "format": fmt,
+            **extra}
+
+
+_SRC = {"rp": "1/2", "rq": "1/2", "s": "3/5", "alpha": "0", "n": 1}
+_TGT = {"rp": "1/2", "rq": "1", "s": "0", "alpha": "0", "n": 1}
+_SWEEP_SRC = {"rp": "1", "rq": "0", "s": "0", "alpha": "0", "n": 1}
+_SWEEP_TGT = {"rp": "0", "rq": "0", "s": "0", "alpha": "1/2", "n": 1}
+
+# (argv, the report's config); commands without --grid or --seed report the
+# default grid 4096,8 and seed 0, and normcalc --input the default grid too
+REPORT_CONFIGS = [
+    (["decide", "--source", "p=2,q=2,s=0.6,alpha=0", "--target", "p=2,q=1,s=0,alpha=0"],
+     _config("decide", source=_SRC, target=_TGT)),
+    (["index", "--source", "p=1,q=inf,s=0,alpha=0", "--target", "p=inf,q=inf,s=0,alpha=1/2",
+      "--format", "text"],
+     _config("index", fmt="text", source=_SWEEP_SRC, target=_SWEEP_TGT)),
+    (["covering", "--alpha", "0.5", "--grid", "512,8", "--alpha-constants", "0.3,0.7",
+      "--k-max", "20"],
+     _config("covering", N=512, alpha=0.5, c_small=0.3, c_big=0.7, k_max=20)),
+    (["covering", "--alpha", "1/4", "--n", "2", "--grid", "64,1"],
+     _config("covering", n=2, N=64, L=1.0, alpha=0.25, c_small=None, c_big=None,
+             k_max=None)),
+    (["normcalc", "--source", "p=2,q=1,s=0,alpha=0", "--input", "f.bin"],
+     _config("normcalc", builtin=None, input="f.bin",
+             source={"rp": "1/2", "rq": "1", "s": "0", "alpha": "0", "n": 1})),
+    (["normcalc", "--source", "p=2,q=2,s=0,alpha=0.5", "--builtin", "bump", "--grid", "512,8"],
+     _config("normcalc", N=512, builtin="bump", input=None,
+             source={"rp": "1/2", "rq": "1/2", "s": "0", "alpha": "1/2", "n": 1})),
+    (["verify-asymptotics", "--source", "p=1,q=inf,s=0,alpha=0",
+      "--target", "p=inf,q=inf,s=0,alpha=0.5", "--j-range", "5:9", "--seed", "7"],
+     _config("verify-asymptotics", seed=7, j_range=[5, 9], source=_SWEEP_SRC,
+             target=_SWEEP_TGT)),
+    (["verify-embedding", "--source", "p=2,q=2,s=0.6,alpha=0",
+      "--target", "p=2,q=1,s=0,alpha=0", "--truncation", "16"],
+     _config("verify-embedding", truncation=16, source=_SRC, target=_TGT)),
+]
+
+
+class TestReportConfig:
+    @pytest.mark.parametrize("argv, expected", REPORT_CONFIGS,
+                             ids=[f"{a[0]}-{i}" for i, (a, _) in enumerate(REPORT_CONFIGS)])
+    def test_exact_config(self, tmp_path, capsys, monkeypatch, argv, expected):
+        from alphamod.grids import builtin_function, save_grid_function
+
+        monkeypatch.chdir(tmp_path)
+        save_grid_function(builtin_function("bump", 1, 256, 4.0), "f.bin")
+        status, out, err = invoke(argv, capsys)
+        assert status == EXIT_OK, err
+        if expected["format"] == "text":
+            lines = [line for line in out.splitlines() if line.startswith("config.")]
+            assert lines == render({"config": expected}, "text").splitlines()
+        else:
+            assert json.loads(out)["config"] == expected
+
+
 class TestExitCodes:
     def test_config_error(self, capsys):
         status, _, err = invoke(["decide", "--source", "p=-2,q=2,s=0,alpha=0",
@@ -200,6 +261,19 @@ class TestExitCodes:
                                  "--grid", "1024,4"], capsys)
         assert status == EXIT_INTERNAL
         assert "internal check" in err
+
+    @pytest.mark.parametrize("argv, plateau", [
+        (["--n", "2", "--alpha", "0.8", "--grid", "64,1"], "0.0385"),
+        (["--n", "2", "--alpha", "0.98", "--grid", "64,1"], "-0.0334"),
+        (["--alpha", "0.25", "--alpha-constants", "0.3,0.95"], "0.0276")])
+    def test_infeasible_covering_names_the_plateau_floor(self, capsys, argv, plateau):
+        # the resolved plateau, not the sum support + plateau, falls short
+        status, out, err = invoke(["covering", *argv], capsys)
+        assert status == EXIT_INTERNAL and out == ""
+        assert f"plateau radius of {plateau}" in err
+        assert "below the floor 0.04" in err
+        assert "support radius" in err and "lattice gap" in err
+        assert "--alpha-constants" in err
 
     def test_rate_sweep_rejects_dyadic_target(self, capsys):
         status, _, err = invoke(["verify-asymptotics",
@@ -471,11 +545,9 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
     def test_render_formats(self):
-        cfg = RunConfig(command="decide",
-                        source=parse_space("p=2,q=2,s=0,alpha=0"),
-                        target=parse_space("p=2,q=2,s=0,alpha=0"))
-        status, report = run(cfg)
-        assert status == EXIT_OK
+        args = build_parser().parse_args(["decide", "--source", "p=2,q=2,s=0,alpha=0",
+                                          "--target", "p=2,q=2,s=0,alpha=0"])
+        report = run(config_from_args(args))
         assert render(report, "json").endswith("\n")
         assert "result.embeds" in render(report, "text")
         assert render(report, "csv").startswith("key,value")

@@ -27,8 +27,7 @@ from alphamod.covering import (
     warp_radius,
     warp_radius_inv,
 )
-from alphamod.errors import (CoveringError, DomainError, GeometryError, ParameterError,
-                             TruncationError)
+from alphamod.errors import CoveringError, DomainError, GeometryError, ParameterError
 
 
 class TestBallGeometry:
@@ -424,51 +423,42 @@ class TestGradientScaling:
 
 class TestNeighborSets:
     def test_lambda_uniform(self):
-        spec = CoveringSpec(alpha=0.0, n=1, c_big=0.8, delta=0.15)
         for k in [-3, 0, 7]:
-            out = neighbor_set("Lambda", k, 0.0, spec)
-            assert out.members == {k - 1, k, k + 1}
+            assert neighbor_set("Lambda", k, 0.0) == {k - 1, k, k + 1}
 
     def test_lambda_contains_self(self):
         for alpha in [0.0, 0.3, 0.6]:
-            assert 0 in neighbor_set("Lambda", 0, alpha).members
+            assert 0 in neighbor_set("Lambda", 0, alpha)
 
     def test_lambda_star_expands(self):
-        spec = CoveringSpec(alpha=0.0, n=1, c_big=0.8, delta=0.15)
-        out = neighbor_set("LambdaStar", 0, 0.0, spec)
-        assert out.members == {-2, -1, 0, 1, 2}
+        assert neighbor_set("LambdaStar", 0, 0.0) == {-2, -1, 0, 1, 2}
 
     def test_lambda_symmetry(self):
         for alpha in [0.0, 0.4, 0.7]:
             for k in range(0, 24, 3):
-                for l in neighbor_set("Lambda", k, alpha).members:
-                    assert k in neighbor_set("Lambda", l, alpha).members
+                for l in neighbor_set("Lambda", k, alpha):
+                    assert k in neighbor_set("Lambda", l, alpha)
 
     def test_gamma_tilde_subset_of_gamma(self):
         for k in [2, 5, 9, 14]:
-            gamma = neighbor_set("Gamma", k, (0.0, 0.5)).members
-            tilde = neighbor_set("GammaTilde", k, (0.0, 0.5)).members
+            gamma = neighbor_set("Gamma", k, (0.0, 0.5))
+            tilde = neighbor_set("GammaTilde", k, (0.0, 0.5))
             assert tilde <= gamma
 
     def test_gamma_cardinality_growth(self):
         # |Gamma_k^{0,1/2}| ~ <k> along the ray
         ks = [8, 16, 32, 64, 128]
-        counts = [len(neighbor_set("Gamma", k, (0.0, 0.5)).members) for k in ks]
+        counts = [len(neighbor_set("Gamma", k, (0.0, 0.5))) for k in ks]
         logk = np.log2([math.sqrt(1.0 + k * k) for k in ks])
         logc = np.log2(counts)
         slope = np.polyfit(logk, logc, 1)[0]
         assert abs(slope - 1.0) <= 0.2
 
     def test_lambda_two_dim(self):
-        out = neighbor_set("Lambda", (0, 0), 0.0, CoveringSpec(alpha=0.0, n=2))
-        assert (0, 0) in out.members
-        assert (1, 0) in out.members
-        assert (3, 3) not in out.members
-
-    def test_truncation_error(self):
-        spec = CoveringSpec(alpha=0.0, n=1, k_max=3)
-        with pytest.raises(TruncationError):
-            neighbor_set("Lambda", 3, 0.0, spec)
+        out = neighbor_set("Lambda", (0, 0), 0.0)
+        assert (0, 0) in out
+        assert (1, 0) in out
+        assert (3, 3) not in out
 
 
 def _reference_lambda_1d(cov, k):
@@ -495,10 +485,10 @@ class TestLambdaReference:
         cov = covering_for(CoveringSpec(alpha=alpha, n=1))
         want = {k: _reference_lambda_1d(cov, k) for k in range(-304, 305)}
         for k in range(-300, 301):
-            lam = neighbor_set("Lambda", k, alpha).members
+            lam = neighbor_set("Lambda", k, alpha)
             assert lam == want[k]
             assert all(type(l) is int for l in lam)
-            star = neighbor_set("LambdaStar", k, alpha).members
+            star = neighbor_set("LambdaStar", k, alpha)
             assert star == set().union(*(want[l] for l in want[k]))
 
 
@@ -529,10 +519,10 @@ class TestSampledGamma:
         cov_c = coarse.covering
         for k in (2, 4, 7):
             sampled = _gamma_members_sampled(k, fine, coarse)
-            exact = neighbor_set("Gamma", k, (0.0, 0.5)).members
+            exact = neighbor_set("Gamma", k, (0.0, 0.5))
             assert sampled == exact
             tilde_s = _gamma_members_sampled(k, fine, coarse, absorbed=True)
-            tilde_e = neighbor_set("GammaTilde", k, (0.0, 0.5)).members
+            tilde_e = neighbor_set("GammaTilde", k, (0.0, 0.5))
             assert tilde_e <= tilde_s
             # sampled absorption may additionally pick up windows that are
             # absorbed to machine precision (the profile tails decay like
@@ -678,7 +668,7 @@ class TestCoveringConstants:
 
     def test_infeasible_constants_rejected(self):
         with pytest.raises(CoveringError):
-            Covering(CoveringSpec(alpha=0.75, n=1, c_big=0.9, delta=0.2))
+            Covering(CoveringSpec(alpha=0.75, n=1, c_big=0.95))
 
     def test_window_sum_below_floor(self, capsys):
         # support 0.45 leaves gaps in the unit lattice where no window reaches

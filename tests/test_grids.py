@@ -157,7 +157,7 @@ class TestBoxApply:
     def test_disjoint_windows_annihilate(self, parts):
         part = parts[0.5]
         f = witness_bump(3, 0.5, part)
-        lam = neighbor_set("Lambda", 3, 0.5).members
+        lam = neighbor_set("Lambda", 3, 0.5)
         far = [m for m in part.indices() if m not in lam][0]
         g = box_apply(box_apply(f, part.member(3)), part.member(far))
         assert np.max(np.abs(g.values)) <= 1e-13 * np.max(np.abs(f.values))
@@ -519,7 +519,7 @@ def spread():
     N, L = 2 ** 14, 192.0
     part0 = build_partition(CoveringSpec(alpha=0.0, n=1), N=N, L=L)
     # the alpha = 0 windows that anchor 4 of the alpha = 1/2 covering absorbs
-    members = sorted(neighbor_set("GammaTilde", 4, (0.0, 0.5)).members)
+    members = sorted(neighbor_set("GammaTilde", 4, (0.0, 0.5)))
     return part0, spread_train(members, part0), members
 
 
