@@ -87,27 +87,48 @@ def from_spectrum(spec_flat: np.ndarray, n: int, N: int, L: float,
 
 def box_apply(f: GridFunction, member: PartitionMember) -> GridFunction:
     """Frequency-localize f with one window: inverse FT of (window * FT f)."""
+    return _localize(f, spectrum(f), member)
+
+
+def _localize(f: GridFunction, spec_flat: np.ndarray, member: PartitionMember) -> GridFunction:
+    """box_apply given spec_flat, the spectrum of f."""
     if f.N != member.grid_N or abs(f.L - member.grid_L) > 1e-12:
         raise ParameterError(
             f"member sampled on (N={member.grid_N}, L={member.grid_L}), "
             f"function lives on (N={f.N}, L={f.L})")
-    spec = spectrum(f)
-    out = np.zeros_like(spec)
-    out[member.idx] = spec[member.idx] * member.values
+    out = np.zeros_like(spec_flat)
+    out[member.idx] = spec_flat[member.idx] * member.values
     radius = float(np.linalg.norm(np.atleast_1d(member.center))) + member.support_radius
     limit = radius if f.band_limit is None else min(f.band_limit, radius)
     return from_spectrum(out, f.n, f.N, f.L, band_limit=limit)
 
 
-def sample_lp(mag: np.ndarray, rp: float, cell_volume: float) -> float:
-    """(sum mag^p * cell_volume)^{1/p}, the Riemann-sum L^p norm of sampled
-    magnitudes with 1/p = rp; rp = 0 is the sup norm.
+def sample_lp(mag: np.ndarray, rp: float, cell_volume: float) -> np.ndarray:
+    """Riemann-sum L^p norms (sum mag^p * cell_volume)^{1/p} of sampled
+    magnitudes over the last axis of mag, with 1/p = rp; rp = 0 is the sup
+    norm.  A 1-D mag gives a 0-d array, a 2-D mag one norm per row.
 
-    The same power-sum formula serves the quasi-norm range p < 1.
+    The same power-sum formula serves the quasi-norm range p < 1.  Each
+    row's root is one scalar power, as for a single row.  Only a nonzero
+    finite row whose power sum overflows, or underflows to 0, is summed
+    over its maximum instead and scaled back, so every other result keeps
+    its bits.
     """
     if rp == 0.0:
-        return float(mag.max())
-    return float((np.sum(mag ** (1.0 / rp)) * cell_volume) ** rp)
+        return mag.max(axis=-1)
+    p = 1.0 / rp
+    rows = mag.reshape(-1, mag.shape[-1])
+    with np.errstate(over="ignore"):
+        totals = np.sum(rows ** p, axis=-1)
+    norms = np.array([total ** rp for total in totals * cell_volume])
+    for i in np.flatnonzero((totals == 0.0) | np.isinf(totals)).tolist():
+        row = rows[i]
+        top = row.max()
+        if top > 0.0 and np.isfinite(row).all():
+            # the power sum overflowed, or underflowed to 0 for a nonzero
+            # row: sum the row over its maximum instead
+            norms[i] = top * (np.sum((row / top) ** p) * cell_volume) ** rp
+    return norms.reshape(mag.shape[:-1])
 
 
 def lp_quasinorm(f: GridFunction, rp) -> float:
@@ -115,7 +136,7 @@ def lp_quasinorm(f: GridFunction, rp) -> float:
     rp = float(rp)
     if rp < 0:
         raise ParameterError("reciprocal exponent must be nonnegative")
-    return sample_lp(np.abs(f.values), rp, f.cell ** f.n)
+    return float(sample_lp(np.abs(f.values).reshape(-1), rp, f.cell ** f.n))
 
 
 @dataclass
@@ -212,29 +233,47 @@ def _live_windows(spec_flat: np.ndarray, bins: np.ndarray, offsets: np.ndarray) 
     return filled[local_max > 1e-16 * peak]
 
 
+# complex points per inverse-FFT block of window_lp_norms (512 KB)
+BLOCK_POINTS = 2 ** 15
+
+
 def window_lp_norms(spec_flat: np.ndarray, bins: np.ndarray, samples: np.ndarray,
                     offsets: np.ndarray, grid: tuple, rp) -> np.ndarray:
     """L^p norm of each window's piece of a flat fft-layout spectrum.
 
     Windows are packed rows: window i samples its window function at the
     spectrum positions bins[offsets[i]:offsets[i + 1]] with the values
-    samples[offsets[i]:offsets[i + 1]], on the grid (n, N, L).  Each live
-    window's piece goes through one inverse FFT in a reused N^n buffer;
-    negligible and empty windows are 0.
+    samples[offsets[i]:offsets[i + 1]], on the grid (n, N, L).  Live
+    windows are filled into the rows of one block of at most BLOCK_POINTS
+    points (one row at least), which goes through one in-place inverse FFT
+    per block; sample_lp then reduces each row.  Negligible and empty
+    windows are 0.  The values equal those of one transform per window bit
+    for bit, which tests/test_grids.py::TestKernelBitIdentity guards.
     """
     n, N, L = grid
     rp = float(rp)
     out = np.zeros(len(offsets) - 1)
+    live = _live_windows(spec_flat, bins, offsets)
+    if live.size == 0:
+        return out
     pieces = spec_flat[bins] * samples
-    buf = np.zeros(N ** n, dtype=complex)
-    dense = buf.reshape((N,) * n)
+    size = N ** n
+    rows = min(live.size, max(1, BLOCK_POINTS // size))
+    block = np.empty((rows,) + (N,) * n, dtype=complex)
+    flat = block.reshape(rows, size)
+    mag = np.empty((rows, size))
+    axes = tuple(range(1, n + 1))
     scale, cell_volume = (N / L) ** n, (L / N) ** n
-    for i in _live_windows(spec_flat, bins, offsets).tolist():
-        lo, hi = offsets[i], offsets[i + 1]
-        at = bins[lo:hi]
-        buf[at] = pieces[lo:hi]
-        out[i] = sample_lp(np.abs(np.fft.ifftn(dense) * scale), rp, cell_volume)
-        buf[at] = 0.0
+    for start in range(0, live.size, rows):
+        ids = live[start:start + rows]
+        used = block[:ids.size]
+        used[...] = 0.0
+        for r, i in enumerate(ids.tolist()):
+            lo, hi = offsets[i], offsets[i + 1]
+            flat[r, bins[lo:hi]] = pieces[lo:hi]
+        np.fft.ifftn(used, axes=axes, out=used)
+        used *= scale
+        out[ids] = sample_lp(np.abs(flat[:ids.size], out=mag[:ids.size]), rp, cell_volume)
     return out
 
 
@@ -274,7 +313,7 @@ def coarse_norm(f: GridFunction, alpha1, alpha2, s, rp, rq,
     inner_params = SpaceParams(rp=rp, rq=rq, s=0, alpha=alpha1, n=f.n)
     outer = np.zeros(len(partition2.members))
     for i in _live_windows(spec, partition2.idx, partition2.offsets).tolist():
-        piece = box_apply(f, partition2.members[i])
+        piece = _localize(f, spec, partition2.members[i])
         outer[i] = space_norm(piece, inner_params, partition1).value
     return weighted_lq(outer, rq, smoothness_weights(partition2.bases, s, alpha2))
 

@@ -19,6 +19,7 @@ from alphamod.covering import (
 )
 from alphamod.errors import ParameterError, TruncationError
 from alphamod.grids import (
+    BLOCK_POINTS,
     GridFunction,
     box_apply,
     builtin_function,
@@ -29,12 +30,14 @@ from alphamod.grids import (
     load_grid_function_csv,
     lp_quasinorm,
     random_band_limited,
+    sample_lp,
     save_grid_function,
     save_grid_function_csv,
     sequence_norm,
     space_norm,
     spectrum,
     weighted_lq,
+    window_lp_norms,
     witness_bump,
     witness_support_fraction,
 )
@@ -126,6 +129,41 @@ class TestLpQuasinorm:
     def test_sup_norm(self):
         f = builtin_function("gaussian", 1, 512, 16.0)
         assert lp_quasinorm(f, 0.0) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_power_sum_underflow(self):
+        # 0.25^1000 underflows to 0: the row is summed over its maximum
+        assert sample_lp(np.full(16, 0.25), 1 / 1000, 0.5) == pytest.approx(
+            0.25 * 8.0 ** (1 / 1000), rel=1e-14)
+        f = GridFunction(1, 16, 8.0, np.full(16, 1e-3))
+        assert lp_quasinorm(f, 1 / 1000) == pytest.approx(1e-3 * 8.0 ** (1 / 1000), rel=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    def test_power_sum_overflow(self):
+        assert sample_lp(np.full(16, 10.0), 1 / 400, 0.5) == pytest.approx(
+            10.0 * 8.0 ** (1 / 400), rel=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rows_rescale_alone(self):
+        rng = np.random.default_rng(3)
+        plain = rng.random(64)
+        mag = np.stack([plain, np.full(64, 10.0), np.zeros(64), np.full(64, 1e-3)])
+        got = sample_lp(mag, 1 / 400, 0.25)
+        assert got[0] == sample_lp(plain, 1 / 400, 0.25)
+        assert got[0] == (np.sum(plain ** 400.0) * 0.25) ** (1 / 400)
+        assert got[1] == pytest.approx(10.0 * 16.0 ** (1 / 400), rel=1e-14)
+        assert got[2] == 0.0
+        assert got[3] == pytest.approx(1e-3 * 16.0 ** (1 / 400), rel=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_p_pieces_stay_nonzero(self):
+        f = builtin_function("bump", 1, 2048, 8.0)
+        part = build_partition(CoveringSpec(alpha=0.0, n=1), N=2048, L=8.0)
+        pieces = space_norm(f, sp(Fraction(1, 1000), Fraction(1, 2), 0, 0), part).pieces
+        low = space_norm(f, sp(Fraction(1, 200), Fraction(1, 2), 0, 0), part).pieces
+        for k in (-1, 1):
+            assert pieces[k] == pytest.approx(0.24993, rel=1e-4)
+            assert low[k] == pytest.approx(0.2488, rel=1e-3)
 
 
 class TestBoxApply:
@@ -380,8 +418,31 @@ def _with_empty_windows(part):
                      covering=part.covering, spec=part.spec)
 
 
+def _reference_window_norms(spec_flat, bins, samples, offsets, grid, rp):
+    """One inverse FFT per window, as the kernel ran before it transformed
+    windows in blocks."""
+    n, N, L = grid
+    norms = []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        buf = np.zeros(N ** n, dtype=complex)
+        buf[bins[lo:hi]] = spec_flat[bins[lo:hi]] * samples[lo:hi]
+        piece = GridFunction(n, N, L, np.fft.ifftn(buf.reshape((N,) * n)) * (N / L) ** n)
+        norms.append(_reference_lp(piece, rp))
+    return norms
+
+
+def _random_windows(rng, size, count):
+    """count packed windows of 1 to 64 distinct random bins each."""
+    chosen = [np.sort(rng.choice(size, rng.integers(1, 65), replace=False))
+              for _ in range(count)]
+    offsets = np.cumsum([0] + [c.size for c in chosen])
+    bins = np.concatenate(chosen)
+    return bins, rng.random(bins.size) + 0.01, offsets
+
+
 class TestKernelBitIdentity:
-    """space_norm and coarse_norm equal the old per-window loop bit for bit."""
+    """window_lp_norms, space_norm and coarse_norm equal the old per-window
+    loop bit for bit."""
 
     def _check(self, f, alpha, part):
         for rp in _RPS:
@@ -425,6 +486,27 @@ class TestKernelBitIdentity:
             assert m.idx.base is part.idx and m.values.base is part.values
             assert np.array_equal(m.idx, part.idx[lo:hi])
         assert part.offsets[-1] == part.idx.size == part.values.size
+
+    @pytest.mark.parametrize("n, N", [(1, 2 ** 12), (2, 64), (1, 2 ** 15), (1, 2 ** 16)])
+    def test_blocked_transforms(self, n, N):
+        """The kernel transforms live windows in blocks of `rows`; numpy must
+        give batched in-place inverse FFTs the bits of single-row ones, or
+        this fails."""
+        rows = max(1, BLOCK_POINTS // N ** n)
+        # 1, rows - 1, rows, rows + 1 (a short last block reusing a
+        # transformed row), three full blocks, two full blocks and a short one
+        counts = sorted({1, max(1, rows - 1), rows, rows + 1, 3 * rows, 2 * rows + 3})
+        rng = np.random.default_rng(N + n)
+        grid = (n, N, 4.0)
+        for count in counts:
+            spec = rng.standard_normal(N ** n) + 1j * rng.standard_normal(N ** n)
+            bins, samples, offsets = _random_windows(rng, N ** n, count)
+            for rp in _RPS:
+                got = window_lp_norms(spec, bins, samples, offsets, grid, rp)
+                ref = _reference_window_norms(spec, bins, samples, offsets, grid, rp)
+                assert got.tolist() == ref, (
+                    f"numpy {np.__version__}: blocked inverse FFTs changed norms "
+                    f"(n={n}, N={N}, windows={count}, rp={rp})")
 
     @pytest.mark.parametrize("pair", [(Fraction(1, 4), Fraction(1, 2)),
                                       (Fraction(1, 2), 1), (0, 0)])

@@ -5,9 +5,9 @@
 Prints one line per named output of the checkout at ROOT: the exit code and
 the sha256 of stdout and stderr of each README command-line example and of
 a set of command lines that end in exit codes 2, 3 and 4 (plus the files the
-examples write), then one round of each benchmark workload in
-``ROOT/bench/workloads.py`` at seeds 41 and 3.  Two checkouts whose outputs
-agree print the same lines, so a refactor is checked with
+examples write), then two library checks and one round of each benchmark
+workload in ``ROOT/bench/workloads.py`` at seeds 41 and 3.  Two checkouts
+whose outputs agree print the same lines, so a refactor is checked with
 
     diff <(python tools/output_hashes.py OLD) <(python tools/output_hashes.py NEW)
 
@@ -53,6 +53,12 @@ COMMANDS = [
     ("covering-constants", ["covering", "--alpha", "1/3", "--grid", "1024,8",
                             "--alpha-constants", "0.3,0.7", "--k-max", "20"]),
     ("covering-2d", ["covering", "--alpha", "0.5", "--n", "2", "--grid", "64,1"]),
+    ("normcalc-2d-sup", ["normcalc", "--n", "2", "--source", "p=inf,q=2,s=0,alpha=0.5",
+                         "--builtin", "bump", "--grid", "64,1"]),
+    ("normcalc-2d-quasi", ["normcalc", "--n", "2", "--source", "p=2/3,q=2,s=0,alpha=0.5",
+                           "--builtin", "bump", "--grid", "64,1"]),
+    ("normcalc-large-p", ["normcalc", "--source", "p=1000,q=2,s=0,alpha=0",
+                          "--builtin", "bump", "--grid", "2048,8"]),
     # exit 2: configuration and output paths
     ("exit2-unread-option", ["decide", *_SWEEP, "--grid", "64,1"]),
     ("exit2-bad-grid", ["covering", "--alpha", "0", "--grid", "100,8"]),
@@ -129,16 +135,31 @@ def cli_lines(root: str) -> list:
     return lines
 
 
-def workload_lines(root: str) -> list:
+def checkout_modules(root: str) -> dict:
+    """The alphamod modules of the checkout at ROOT, by short name."""
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
     from alphamod import asymptotics, cli, covering, grids, indices
-    import workloads
 
     if not os.path.abspath(cli.__file__).startswith(os.path.join(root, "src")):
         raise SystemExit(f"alphamod was imported from {cli.__file__}, not {root}/src")
-
-    mods = {"asymptotics": asymptotics, "cli": cli, "covering": covering,
+    return {"asymptotics": asymptotics, "cli": cli, "covering": covering,
             "grids": grids, "indices": indices}
+
+
+def library_lines(mods: dict) -> list:
+    asymptotics = mods["asymptotics"]
+    params = mods["indices"].SpaceParams(rp=0.5, rq=1.0, s=0.5, alpha=0.25)
+    checks = [
+        ("coarse-norm-ratio", lambda: asymptotics.coarse_norm_ratio_check(
+            params, 0.5, trials=3, seed=5)),
+        ("dilation-necessity", lambda: asymptotics.dilation_necessity_check(0.25, 0.75, 1)),
+    ]
+    return [f"library {name} results={sha(canon(run()).encode())}" for name, run in checks]
+
+
+def workload_lines(mods: dict) -> list:
+    import workloads
+
     lines = []
     for name, cls in workloads.WORKLOADS.items():
         for seed in SEEDS:
@@ -156,7 +177,8 @@ def main(argv=None) -> int:
         sys.stderr.write("usage: python tools/output_hashes.py ROOT\n")
         return 2
     root = os.path.abspath(args[0])
-    for line in cli_lines(root) + workload_lines(root):
+    mods = checkout_modules(root)
+    for line in cli_lines(root) + library_lines(mods) + workload_lines(mods):
         print(line, flush=True)
     return 0
 
