@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 from typing import Optional
@@ -25,14 +26,17 @@ from .covering import (Covering, CoveringSpec, Partition, ball_geometry,
 from .errors import DomainError, GeometryError, ParameterError, TruncationError
 from .grids import (
     WITNESS_SAFETY,
-    GridFunction,
+    # unused here; bench/spans.py traces box_apply at this name as well
     box_apply,
     bump_train,
     from_spectrum,
+    localize,
     lp_quasinorm,
     random_band_limited,
     smoothness_weights,
     space_norm,
+    spectrum,
+    spectrum_norm,
     weighted_lq,
     window_lp_norms,
     witness_bump,
@@ -266,12 +270,12 @@ def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams) -> Optional[
 
 # -- operator-norm lower bounds ---------------------------------------------
 
-def _norm_ratio(f: GridFunction, member, source: SpaceParams, target: SpaceParams,
+def _norm_ratio(spec, band_limit, member, source: SpaceParams, target: SpaceParams,
                 part1: Partition, part2: Partition) -> float:
     m1 = SpaceParams(rp=source.rp, rq=source.rq, s=0, alpha=source.alpha)
     m2 = SpaceParams(rp=target.rp, rq=target.rq, s=0, alpha=target.alpha)
-    num = space_norm(box_apply(f, member), m2, part2).value
-    den = space_norm(f, m1, part1).value
+    num = spectrum_norm(*localize(spec, member, band_limit), m2, part2).value
+    den = spectrum_norm(spec, band_limit, m1, part1).value
     if den == 0.0:
         raise GeometryError("witness has vanishing source norm")
     return num / den
@@ -294,7 +298,8 @@ def box_opnorm_lower(k: int, source: SpaceParams, target: SpaceParams,
     eff = eff_logscale(k, b)
 
     def bump_ratio(f):
-        return _norm_ratio(f, member_k, source, target, grid[a1], grid[a2])
+        return _norm_ratio(spectrum(f), f.band_limit, member_k, source, target,
+                           grid[a1], grid[a2])
 
     ratios = (bump_ratio(witness_bump(matched_fine_index(k, a, b), a, grid[a])),
               bump_ratio(witness_bump(k, b, grid[b])),
@@ -304,12 +309,17 @@ def box_opnorm_lower(k: int, source: SpaceParams, target: SpaceParams,
             for label, value in zip(TERM_LABELS, ratios) if value is not None]
 
 
+def _check_count(name: str, value, least: int):
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ParameterError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def box_opnorm_montecarlo(k: int, source: SpaceParams, target: SpaceParams,
                           grid: dict, trials: int = 64, seed: int = 0) -> OpNormSample:
     """Random-input estimate of the same localized norm; maximizes over the
     witness functions plus random band-limited spectra near window k."""
-    if trials < 1:
-        raise ParameterError("trials must be at least 1")
+    _check_count("trials", trials, 1)
+    _check_count("seed", seed, 0)
     a1, a2 = float(source.alpha), float(target.alpha)
     b = max(a1, a2)
     part_b, part_1, part_2 = grid[b], grid[a1], grid[a2]
@@ -339,9 +349,8 @@ def box_opnorm_montecarlo(k: int, source: SpaceParams, target: SpaceParams,
         rng = np.random.default_rng(trial_seed)
         spec = np.zeros(size, dtype=complex)
         spec[bins] = rng.standard_normal(bins.size) + 1j * rng.standard_normal(bins.size)
-        f = from_spectrum(spec, part_b.n, part_b.N, part_b.L, band_limit=reach)
         try:
-            return _norm_ratio(f, member_k, source, target, part_1, part_2)
+            return _norm_ratio(spec, reach, member_k, source, target, part_1, part_2)
         except GeometryError:
             return 0.0
 
@@ -520,7 +529,8 @@ def embedding_consistency_check(source: SpaceParams, target: SpaceParams,
             if grid is None:
                 raise GeometryError("budget too small for the base grid")
             f = witness_bump(0, b, grid[b])
-            lower[0] = _norm_ratio(f, grid[b].member(0), source, target, grid[a1], grid[a2])
+            lower[0] = _norm_ratio(spectrum(f), f.band_limit, grid[b].member(0),
+                                   source, target, grid[a1], grid[a2])
             continue
         grid = plan_grid(source, target, k)
         if grid is None:
@@ -571,6 +581,8 @@ def coarse_norm_ratio_check(params: SpaceParams, alpha2, trials: int = 20, *,
     """Ratio statistics between the two-layer norm and the direct norm."""
     from .grids import coarse_norm
 
+    _check_count("trials", trials, 1)
+    _check_count("seed", seed, 0)
     N, L = 2 ** 12, 8.0
     a1, a2 = float(params.alpha), float(alpha2)
     if a1 > a2:

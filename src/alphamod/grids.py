@@ -87,20 +87,17 @@ def from_spectrum(spec_flat: np.ndarray, n: int, N: int, L: float,
 
 def box_apply(f: GridFunction, member: PartitionMember) -> GridFunction:
     """Frequency-localize f with one window: inverse FT of (window * FT f)."""
-    return _localize(f, spectrum(f), member)
+    _check_same_grid(f, f.n, member.grid_N, member.grid_L)
+    piece, limit = localize(spectrum(f), member, f.band_limit)
+    return from_spectrum(piece, f.n, f.N, f.L, band_limit=limit)
 
 
-def _localize(f: GridFunction, spec_flat: np.ndarray, member: PartitionMember) -> GridFunction:
-    """box_apply given spec_flat, the spectrum of f."""
-    if f.N != member.grid_N or abs(f.L - member.grid_L) > 1e-12:
-        raise ParameterError(
-            f"member sampled on (N={member.grid_N}, L={member.grid_L}), "
-            f"function lives on (N={f.N}, L={f.L})")
+def localize(spec_flat: np.ndarray, member: PartitionMember, band_limit) -> tuple:
+    """One window's piece of a flat spectrum band-limited to band_limit, and its band limit."""
     out = np.zeros_like(spec_flat)
     out[member.idx] = spec_flat[member.idx] * member.values
     radius = float(np.linalg.norm(np.atleast_1d(member.center))) + member.support_radius
-    limit = radius if f.band_limit is None else min(f.band_limit, radius)
-    return from_spectrum(out, f.n, f.N, f.L, band_limit=limit)
+    return out, radius if band_limit is None else min(band_limit, radius)
 
 
 def sample_lp(mag: np.ndarray, rp: float, cell_volume: float) -> np.ndarray:
@@ -207,14 +204,14 @@ def sequence_norm(lam: dict, s, rq, alpha) -> float:
     return weighted_lq([abs(v) for v in lam.values()], rq, weights)
 
 
-def _check_band(f: GridFunction, partition: Partition, spec_flat: np.ndarray):
-    if f.band_limit is not None:
-        if f.band_limit <= partition.safe_radius:
+def _check_band(spec_flat: np.ndarray, band_limit, partition: Partition):
+    if band_limit is not None:
+        if band_limit <= partition.safe_radius:
             return
         raise TruncationError(
-            f"declared band limit {f.band_limit} exceeds safe radius "
+            f"declared band limit {band_limit} exceeds safe radius "
             f"{partition.safe_radius}")
-    rho = freq_radius(f.n, f.N, f.L)
+    rho = freq_radius(partition.n, partition.N, partition.L)
     total = float(np.sum(np.abs(spec_flat) ** 2))
     outside = float(np.sum(np.abs(spec_flat[rho >= partition.safe_radius]) ** 2))
     if total > 0 and outside > 1e-9 * total:
@@ -224,8 +221,11 @@ def _check_band(f: GridFunction, partition: Partition, spec_flat: np.ndarray):
 
 def _live_windows(spec_flat: np.ndarray, bins: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Positions of the windows whose spectrum piece is not negligible:
-    its largest magnitude exceeds 1e-16 of the spectrum's peak."""
+    its largest magnitude exceeds 1e-16 of the spectrum's peak, which must
+    be finite."""
     peak = float(np.abs(spec_flat).max()) if spec_flat.size else 0.0
+    if not math.isfinite(peak):
+        raise DomainError(f"the spectrum holds non-finite values (peak {peak})")
     filled = np.flatnonzero(np.diff(offsets))
     if peak == 0.0 or filled.size == 0:
         return filled[:0]
@@ -279,15 +279,21 @@ def window_lp_norms(spec_flat: np.ndarray, bins: np.ndarray, samples: np.ndarray
 
 def space_norm(f: GridFunction, params: SpaceParams, partition: Partition) -> NormResult:
     """Covering-decomposition norm: weighted l_q of per-window L^p pieces."""
+    _check_same_grid(f, partition.n, partition.N, partition.L)
+    return spectrum_norm(spectrum(f), f.band_limit, params, partition)
+
+
+def spectrum_norm(spec_flat: np.ndarray, band_limit, params: SpaceParams,
+                  partition: Partition) -> NormResult:
+    """space_norm of a flat spectrum on the partition's grid with band limit band_limit
+    (None: not declared, so the spectrum's mass outside the safe window is checked)."""
     if abs(float(params.alpha) - partition.alpha) > 1e-12:
         raise ParameterError(
             f"partition alpha {partition.alpha} != space alpha {params.alpha}")
     if params.n != partition.n:
         raise ParameterError("dimension mismatch between space and partition")
-    _check_same_grid(f, partition.n, partition.N, partition.L)
-    spec = spectrum(f)
-    _check_band(f, partition, spec)
-    norms = window_lp_norms(spec, partition.idx, partition.values, partition.offsets,
+    _check_band(spec_flat, band_limit, partition)
+    norms = window_lp_norms(spec_flat, partition.idx, partition.values, partition.offsets,
                             (partition.n, partition.N, partition.L), params.rp)
     weights = smoothness_weights(partition.bases, params.s, params.alpha)
     return NormResult(value=weighted_lq(norms, params.rq, weights),
@@ -308,13 +314,15 @@ def coarse_norm(f: GridFunction, alpha1, alpha2, s, rp, rq,
         raise ParameterError("coarse norm requires alpha1 <= alpha2")
     if abs(partition1.alpha - alpha1) > 1e-12 or abs(partition2.alpha - alpha2) > 1e-12:
         raise ParameterError("partitions do not match the requested alphas")
+    for partition in (partition1, partition2):
+        _check_same_grid(f, partition.n, partition.N, partition.L)
     spec = spectrum(f)
-    _check_band(f, partition2, spec)
+    _check_band(spec, f.band_limit, partition2)
     inner_params = SpaceParams(rp=rp, rq=rq, s=0, alpha=alpha1, n=f.n)
     outer = np.zeros(len(partition2.members))
     for i in _live_windows(spec, partition2.idx, partition2.offsets).tolist():
-        piece = _localize(f, spec, partition2.members[i])
-        outer[i] = space_norm(piece, inner_params, partition1).value
+        piece, limit = localize(spec, partition2.members[i], f.band_limit)
+        outer[i] = spectrum_norm(piece, limit, inner_params, partition1).value
     return weighted_lq(outer, rq, smoothness_weights(partition2.bases, s, alpha2))
 
 
@@ -419,7 +427,8 @@ def save_grid_function(f: GridFunction, path: str):
 
 
 def load_grid_function(path: str) -> GridFunction:
-    """Read a binary dump; an unreadable or malformed file is a ParameterError."""
+    """Read a binary dump; an unreadable or malformed file, or a sample that
+    is not finite, is a ParameterError."""
     try:
         with open(path, "rb") as fh:
             magic, version, n, N = struct.unpack("<4sIII", fh.read(16))
@@ -438,6 +447,8 @@ def load_grid_function(path: str) -> GridFunction:
     if len(payload) != 16 * N ** n:
         raise ParameterError("payload size does not match header")
     inter = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(inter).all():
+        raise ParameterError(f"{path}: every sample must be finite")
     vals = inter[0::2] + 1j * inter[1::2]
     return GridFunction(n, N, L, vals.reshape((N,) * n))
 
@@ -452,7 +463,8 @@ def save_grid_function_csv(f: GridFunction, path: str):
 def load_grid_function_csv(path: str) -> GridFunction:
     """Read 'x,re,im' rows after one header line; x must start at 0 and be
     evenly spaced (to 1e-9 relative), and the period is x[-1] plus one
-    spacing.  An unreadable or malformed file is a ParameterError."""
+    spacing.  An unreadable or malformed file, or a sample that is not
+    finite, is a ParameterError."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
@@ -466,4 +478,6 @@ def load_grid_function_csv(path: str) -> GridFunction:
     tol = 1e-9 * step
     if not (step > 0 and abs(x[0]) <= tol and np.all(np.abs(np.diff(x) - step) <= tol)):
         raise ParameterError(f"{path}: the x column must start at 0 and be evenly spaced")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ParameterError(f"{path}: every sample must be finite")
     return GridFunction(1, len(x), float(x[-1] + step), re + 1j * im)

@@ -16,6 +16,7 @@ from alphamod.asymptotics import (
     seq_multiplier_norm_bruteforce,
 )
 from alphamod.errors import DomainError, GeometryError, ParameterError
+from alphamod.grids import box_apply, from_spectrum, space_norm, witness_bump
 from alphamod.indices import SpaceParams, seq_multiplier_norm_closed
 
 
@@ -208,6 +209,63 @@ class TestSpreadKernelBitIdentity:
         assert got == _reference_spread_ratio(k, src, tgt)
 
 
+def _round_trip_ratio(f, member, source, target, part1, part2):
+    """The ratio as it was measured before pieces were measured from their
+    spectra: the piece goes back to samples (box_apply) and each norm
+    transforms its function forward again."""
+    m1 = sp(source.rp, source.rq, 0, source.alpha)
+    m2 = sp(target.rp, target.rq, 0, target.alpha)
+    return (space_norm(box_apply(f, member), m2, part2).value
+            / space_norm(f, m1, part1).value)
+
+
+# relative difference allowed between a ratio measured from spectra and the
+# same ratio measured through inverse/forward FFT round trips
+ROUND_TRIP_RTOL = 1e-12
+# the lab_sweep benchmark's growth pairs (p=1,q=2: alpha 0 -> 1/2; p=1,q=1,
+# alpha 1/2 -> p=2,q=1, alpha 0) and its Monte Carlo octave and trials
+LAB_PAIRS = [(sp(1, 0.5, 0, 0), sp(1, 0.5, 0, 0.5)),
+             (sp(1, 1, 0, 0.5), sp(0.5, 1, 0, 0))]
+
+
+class TestSpectralRatios:
+    @pytest.mark.parametrize("pair", LAB_PAIRS)
+    @pytest.mark.parametrize("j", [4, 6])
+    def test_witness_ratios_near_round_trip(self, pair, j):
+        src, tgt = pair
+        a1, a2 = float(src.alpha), float(tgt.alpha)
+        a, b = min(a1, a2), max(a1, a2)
+        k = asymptotics.anchor_for_octave(j, b)
+        grid = plan_grid(src, tgt, k)
+        samples = box_opnorm_lower(k, src, tgt, grid)
+        witnesses = (witness_bump(asymptotics.matched_fine_index(k, a, b), a, grid[a]),
+                     witness_bump(k, b, grid[b]))
+        for sample, f in zip(samples, witnesses):
+            ref = _round_trip_ratio(f, grid[b].member(k), src, tgt, grid[a1], grid[a2])
+            assert sample.lower_bound == pytest.approx(ref, rel=ROUND_TRIP_RTOL, abs=0)
+
+    def test_trial_ratios_near_round_trip(self, monkeypatch):
+        src, tgt = sp(1.0, 0.5, 0, 0), sp(0.5, 0.5, 0, 0.5)
+        grid = plan_grid(src, tgt, 5)
+        measured = []
+        norm_ratio = asymptotics._norm_ratio
+
+        def recording(spec, band_limit, member, source, target, part1, part2):
+            value = norm_ratio(spec, band_limit, member, source, target, part1, part2)
+            measured.append((spec.copy(), band_limit, member, part1, part2, value))
+            return value
+
+        monkeypatch.setattr(asymptotics, "_norm_ratio", recording)
+        mc = box_opnorm_montecarlo(5, src, tgt, grid, trials=6, seed=9)
+        witnessed, trials = measured[:2], measured[2:]
+        assert len(trials) == 6
+        assert mc.lower_bound == max(value for *_, value in measured)
+        for spec, band_limit, member, part1, part2, value in trials:
+            f = from_spectrum(spec, 1, part1.N, part1.L, band_limit=band_limit)
+            ref = _round_trip_ratio(f, member, src, tgt, part1, part2)
+            assert value == pytest.approx(ref, rel=ROUND_TRIP_RTOL, abs=0)
+
+
 class TestMonteCarlo:
     def test_dominates_witnesses_and_monotone(self):
         src = sp(1.0, 0.5, 0, 0)
@@ -224,6 +282,28 @@ class TestMonteCarlo:
         grid = plan_grid(same, same, 4)
         mc = box_opnorm_montecarlo(4, same, same, grid, trials=8, seed=1)
         assert 0.5 <= mc.lower_bound <= 2.0
+
+    def test_lab_sweep_fixture_equals_witness_maximum(self):
+        # on the lab_sweep benchmark's Monte Carlo op no random trial beats
+        # the witnesses, whatever the seed
+        src, tgt = LAB_PAIRS[0]
+        k = asymptotics.anchor_for_octave(6, 0.5)
+        grid = plan_grid(src, tgt, k)
+        best = max(s.lower_bound for s in box_opnorm_lower(k, src, tgt, grid))
+        for seed in (41, 3):
+            mc = box_opnorm_montecarlo(k, src, tgt, grid, trials=16, seed=seed)
+            assert mc.lower_bound == best
+
+    @pytest.mark.parametrize("kwargs, name", [({"seed": -1}, "seed"),
+                                              ({"seed": 1.5}, "seed"),
+                                              ({"trials": 2.5}, "trials"),
+                                              ({"trials": 0}, "trials")])
+    def test_inputs_checked_up_front(self, kwargs, name):
+        src, tgt = sp(1.0, 0.5, 0, 0), sp(0.5, 0.5, 0, 0.5)
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+            box_opnorm_montecarlo(5, src, tgt, {}, **kwargs)
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+            coarse_norm_ratio_check(src, 0.5, **kwargs)
 
 
 class TestGrowthRateCheck:

@@ -402,6 +402,17 @@ class TestRejectedInputs:
         assert status == EXIT_PRECONDITION
         assert out == "" and (str(path) in err or "finite" in err)
 
+    @pytest.mark.parametrize("name", ["nan_sample.bin", "inf_sample.bin", "nan_sample.csv",
+                                      "inf_sample.csv"])
+    def test_non_finite_sample_names_the_file(self, tmp_path, capsys, name):
+        path = write_input_file(tmp_path, name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out, err = invoke(["normcalc", "--source", "p=2,q=2,s=0,alpha=1/2",
+                                       "--input", str(path)], capsys)
+        assert status == EXIT_PRECONDITION
+        assert out == "" and f"{path}: every sample must be finite" in err
+
     @pytest.mark.parametrize("command", [["covering", "--alpha", "0"],
                                          ["normcalc", "--source", "p=2,q=2,s=0,alpha=0",
                                           "--builtin", "gaussian"]])
@@ -436,10 +447,15 @@ class TestRejectedInputs:
 def write_input_file(tmp_path, name):
     """Write the normcalc input file called name (a missing.* name writes
     nothing) and return its path."""
-    from alphamod.grids import builtin_function, save_grid_function, save_grid_function_csv
+    from alphamod.grids import (GridFunction, builtin_function, save_grid_function,
+                                save_grid_function_csv)
 
     path = tmp_path / name
     f = builtin_function("bump", 2 if name == "big_2d.bin" else 1, 64, 8.0)
+    if "_sample" in name:
+        values = np.array(f.values)
+        values[7] = math.nan if name.startswith("nan") else math.inf
+        f = GridFunction(1, 64, 8.0, values)
     if name.endswith(".bin") and name != "missing.bin":
         save_grid_function(f, str(path))
         data = path.read_bytes()
@@ -447,7 +463,7 @@ def write_input_file(tmp_path, name):
             path.write_bytes(data[:20])
         elif name == "nan_period.bin":
             path.write_bytes(data[:16] + struct.pack("<d", math.nan) + data[24:])
-    elif name == "good.csv":
+    elif name in ("good.csv", "nan_sample.csv", "inf_sample.csv"):
         save_grid_function_csv(f, str(path))
     elif name == "short_rows.csv":
         path.write_text("x,re,im\n0,1\n0.5,1\n")

@@ -17,7 +17,7 @@ from alphamod.covering import (
     freq_radius,
     neighbor_set,
 )
-from alphamod.errors import ParameterError, TruncationError
+from alphamod.errors import DomainError, ParameterError, TruncationError
 from alphamod.grids import (
     BLOCK_POINTS,
     GridFunction,
@@ -246,6 +246,20 @@ class TestSpaceNorm:
         with pytest.raises(TruncationError):
             space_norm(f, sp(0.5, 0.5, 0.0, 0.0), part)
 
+    # the forward FFT of an inf sample warns before the norm rejects it
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_samples_rejected(self, parts, bad):
+        part = parts[0.5]
+        values = np.array(witness_bump(3, 0.5, part).values)
+        values[17] = bad
+        for band_limit in (None, 10.0):
+            f = GridFunction(1, part.N, part.L, values, band_limit=band_limit)
+            with pytest.raises(DomainError, match="non-finite"):
+                space_norm(f, sp(0.5, 0.5, 0.0, 0.5), part)
+            with pytest.raises(DomainError, match="non-finite"):
+                coarse_norm(f, 0.5, 0.5, 0.0, 0.5, 0.5, part, part)
+
     def test_dyadic_weights(self, parts):
         part = parts[1.0]
         f = witness_dyadic_tone(part)
@@ -325,6 +339,18 @@ class TestCoarseNorm:
         with pytest.raises(ParameterError):
             coarse_norm(f, 0.5, 0.0, 0.0, 0.5, 0.5, parts[0.5], parts[0.0])
 
+    def test_partitions_on_other_grids(self, parts):
+        # parts live on (4096, 8); the other partition on (2048, 8) or (4096, 4)
+        rng = np.random.default_rng(37)
+        for N, L in ((2 ** 11, 8.0), (2 ** 12, 4.0)):
+            other = build_partition(CoveringSpec(alpha=0.5, n=1), N=N, L=L)
+            f = random_band_limited(1, 2 ** 12, 8.0, 10.0, rng)
+            with pytest.raises(ParameterError, match="grid mismatch"):
+                coarse_norm(f, 0.25, 0.5, 0.0, 0.5, 0.5, parts[0.25], other)
+            g = random_band_limited(1, N, L, 10.0, rng)
+            with pytest.raises(ParameterError, match="grid mismatch"):
+                coarse_norm(g, 0.25, 0.5, 0.0, 0.5, 0.5, parts[0.25], other)
+
 
 # -- the per-window loop that space_norm and coarse_norm ran before the
 # vectorised kernel, kept as the reference the kernel must match bit for bit
@@ -356,10 +382,11 @@ def _reference_weighted_lq(pieces, s, rq, alpha):
     return float(np.sum(vals ** q) ** rq)
 
 
-def _reference_pieces(f, rp, partition):
-    """Per-window L^p pieces; an empty window (on which the old loop
-    raised) counts as 0, as the kernel defines it."""
-    spec = spectrum(f)
+def _reference_pieces(spec, rp, partition):
+    """Per-window L^p pieces of a flat spectrum on the partition's grid; an
+    empty window (on which the old loop raised) counts as 0, as the kernel
+    defines it."""
+    n, N, L = partition.n, partition.N, partition.L
     peak = float(np.abs(spec).max()) if spec.size else 0.0
     pieces = {}
     for m in partition.members:
@@ -369,12 +396,16 @@ def _reference_pieces(f, rp, partition):
             continue
         out = np.zeros_like(spec)
         out[m.idx] = local * m.values
-        piece = from_spectrum(out, f.n, f.N, f.L, band_limit=partition.safe_radius)
+        piece = from_spectrum(out, n, N, L, band_limit=partition.safe_radius)
         pieces[m.index] = _reference_lp(piece, rp)
     return pieces
 
 
-def _reference_coarse_norm(f, s, rp, rq, partition1, partition2):
+def _reference_coarse_norm(f, s, rp, rq, partition1, partition2, round_trip=False):
+    """The two-layer norm, each coarse piece localized in the spectral
+    domain; round_trip takes each piece back to samples (box_apply) and
+    transforms it forward again, as coarse_norm did before it measured
+    pieces from their spectra."""
     spec = spectrum(f)
     peak = float(np.abs(spec).max()) if spec.size else 0.0
     outer = {}
@@ -383,10 +414,19 @@ def _reference_coarse_norm(f, s, rp, rq, partition1, partition2):
         if peak == 0.0 or float(np.abs(local).max()) <= 1e-16 * peak:
             outer[m.index] = 0.0
             continue
-        piece = box_apply(f, m)
+        if round_trip:
+            piece = spectrum(box_apply(f, m))
+        else:
+            piece = np.zeros_like(spec)
+            piece[m.idx] = local * m.values
         outer[m.index] = _reference_weighted_lq(
             _reference_pieces(piece, rp, partition1), 0, rq, partition1.alpha)
     return _reference_weighted_lq(outer, s, rq, partition2.alpha)
+
+
+# relative difference allowed between a norm measured from a spectrum and
+# the same norm measured after an inverse/forward FFT round trip
+ROUND_TRIP_RTOL = 1e-12
 
 
 _RPS = (0, Fraction(1, 2), 1, Fraction(3, 2))
@@ -440,13 +480,26 @@ def _random_windows(rng, size, count):
     return bins, rng.random(bins.size) + 0.01, offsets
 
 
+_COARSE_PAIRS = [(Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 2), 1), (0, 0)]
+
+
+def _coarse_cases(small_parts, pair):
+    a1, a2 = pair
+    p1, p2 = small_parts[(a1, 1)], small_parts[(a2, 1)]
+    rng = np.random.default_rng(31)
+    f = random_band_limited(1, p1.N, p1.L, 0.5 * min(p1.safe_radius, p2.safe_radius), rng)
+    for rp, rq, s in ((Fraction(1, 2), Fraction(1, 2), 0), (1, 1, Fraction(3, 4)),
+                      (Fraction(3, 2), 0, Fraction(-1, 2))):
+        yield f, s, rp, rq, p1, p2
+
+
 class TestKernelBitIdentity:
     """window_lp_norms, space_norm and coarse_norm equal the old per-window
     loop bit for bit."""
 
     def _check(self, f, alpha, part):
         for rp in _RPS:
-            pieces = _reference_pieces(f, rp, part)
+            pieces = _reference_pieces(spectrum(f), rp, part)
             for rq in _RQS:
                 for s in _SS:
                     res = space_norm(f, sp(rp, rq, s, alpha, part.n), part)
@@ -508,18 +561,18 @@ class TestKernelBitIdentity:
                     f"numpy {np.__version__}: blocked inverse FFTs changed norms "
                     f"(n={n}, N={N}, windows={count}, rp={rp})")
 
-    @pytest.mark.parametrize("pair", [(Fraction(1, 4), Fraction(1, 2)),
-                                      (Fraction(1, 2), 1), (0, 0)])
+    @pytest.mark.parametrize("pair", _COARSE_PAIRS)
     def test_coarse_norm(self, small_parts, pair):
-        a1, a2 = pair
-        p1, p2 = small_parts[(a1, 1)], small_parts[(a2, 1)]
-        rng = np.random.default_rng(31)
-        radius = 0.5 * min(p1.safe_radius, p2.safe_radius)
-        f = random_band_limited(1, p1.N, p1.L, radius, rng)
-        for rp, rq, s in ((Fraction(1, 2), Fraction(1, 2), 0), (1, 1, Fraction(3, 4)),
-                          (Fraction(3, 2), 0, Fraction(-1, 2))):
-            got = coarse_norm(f, a1, a2, s, rp, rq, p1, p2)
+        for f, s, rp, rq, p1, p2 in _coarse_cases(small_parts, pair):
+            got = coarse_norm(f, pair[0], pair[1], s, rp, rq, p1, p2)
             assert got == _reference_coarse_norm(f, s, rp, rq, p1, p2)
+
+    @pytest.mark.parametrize("pair", _COARSE_PAIRS)
+    def test_coarse_norm_near_round_trip(self, small_parts, pair):
+        for f, s, rp, rq, p1, p2 in _coarse_cases(small_parts, pair):
+            got = coarse_norm(f, pair[0], pair[1], s, rp, rq, p1, p2)
+            ref = _reference_coarse_norm(f, s, rp, rq, p1, p2, round_trip=True)
+            assert got == pytest.approx(ref, rel=ROUND_TRIP_RTOL, abs=0)
 
 
 def _band_mass_fraction_outside(f, radius):
@@ -645,6 +698,20 @@ class TestIO:
         assert g.N == f.N
         assert g.L == pytest.approx(f.L)
         np.testing.assert_allclose(g.values, f.values, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_non_finite_sample_rejected(self, tmp_path, bad, fmt):
+        values = np.array(builtin_function("bump", 1, 256, 8.0).values)
+        values[100] = complex(bad, 0.0) if fmt == "bin" else complex(0.0, bad)
+        f = GridFunction(1, 256, 8.0, values)
+        path = str(tmp_path / f"f.{fmt}")
+        save, load = ((save_grid_function, load_grid_function) if fmt == "bin"
+                      else (save_grid_function_csv, load_grid_function_csv))
+        save(f, path)
+        with pytest.raises(ParameterError, match="every sample must be finite") as err:
+            load(path)
+        assert path in str(err.value)
 
     def test_two_dim_binary(self, tmp_path):
         rng = np.random.default_rng(27)

@@ -31,7 +31,8 @@ SEEDS = (41, 3)
 _SWEEP = ("--source", "p=1,q=inf,s=0,alpha=0", "--target", "p=inf,q=inf,s=0,alpha=0.5")
 
 # (name, argv); relative paths land in a fresh working directory that holds
-# f.bin, a 2048-point bump
+# f.bin, a 2048-point bump, and nan.bin and nan.csv, the same bump with one
+# nan sample
 COMMANDS = [
     ("readme-decide", ["decide", "--source", "p=2,q=2,s=0.6,alpha=0",
                        "--target", "p=2,q=1,s=0,alpha=0"]),
@@ -79,6 +80,10 @@ COMMANDS = [
                                   "--target", "p=2,q=2,s=0,alpha=0"]),
     ("exit3-near-alpha-one", ["covering", "--alpha", "0.999", "--grid", "64,1"]),
     ("exit3-sweep-dimension", ["verify-asymptotics", "--n", "2", *_SWEEP]),
+    ("exit3-nan-sample-bin", ["normcalc", "--source", "p=2,q=2,s=0,alpha=1/2",
+                              "--input", "nan.bin"]),
+    ("exit3-nan-sample-csv", ["normcalc", "--source", "p=2,q=2,s=0,alpha=1/2",
+                              "--input", "nan.csv"]),
     # exit 4: numerical checks
     ("exit4-infeasible-2d", ["covering", "--n", "2", "--alpha", "0.8", "--grid", "64,1"]),
     ("exit4-infeasible-2d-high", ["covering", "--n", "2", "--alpha", "0.98",
@@ -92,6 +97,17 @@ COMMANDS = [
                                "--grid", "1024,8"]),
 ]
 WRITTEN = ("members.csv", "samples.bin")
+_WRITE_INPUTS = """
+from alphamod.grids import (GridFunction, builtin_function, save_grid_function,
+                            save_grid_function_csv)
+f = builtin_function("bump", 1, 2048, 8.0)
+save_grid_function(f, "f.bin")
+values = f.values.copy()
+values[1000] = float("nan")
+g = GridFunction(1, 2048, 8.0, values)
+save_grid_function(g, "nan.bin")
+save_grid_function_csv(g, "nan.csv")
+"""
 
 
 def sha(data: bytes) -> str:
@@ -120,10 +136,7 @@ def cli_lines(root: str) -> list:
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     lines = []
     with tempfile.TemporaryDirectory() as work:
-        subprocess.run([sys.executable, "-c",
-                        "from alphamod.grids import builtin_function as b, "
-                        "save_grid_function as s; s(b('bump', 1, 2048, 8.0), 'f.bin')"],
-                       cwd=work, env=env, check=True)
+        subprocess.run([sys.executable, "-c", _WRITE_INPUTS], cwd=work, env=env, check=True)
         for name, argv in COMMANDS:
             proc = subprocess.run([sys.executable, "-m", "alphamod.cli", *argv],
                                   cwd=work, env=env, capture_output=True)
