@@ -59,6 +59,10 @@ EXIT_INTERNAL = 4
 MAX_GRID_POINTS = 2 ** 20
 
 
+# the keys of a space's key=value list
+SPACE_KEYS = ("p", "q", "rp", "rq", "s", "alpha", "n")
+
+
 def parse_space(text: str, n: int = 1) -> SpaceParams:
     """Parse 'p=2,q=inf,s=1/2,alpha=0.5' (or rp=/rq= forms) into parameters."""
     fields = {}
@@ -69,7 +73,12 @@ def parse_space(text: str, n: int = 1) -> SpaceParams:
         if "=" not in item:
             raise ParameterError(f"expected key=value, got {item!r}")
         key, value = item.split("=", 1)
-        fields[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key not in SPACE_KEYS:
+            raise ParameterError(f"unknown key {key!r}; expected one of {', '.join(SPACE_KEYS)}")
+        if key in fields:
+            raise ParameterError(f"key {key!r} given twice")
+        fields[key] = value.strip()
     kwargs = {}
     if "p" in fields and "rp" in fields:
         raise ParameterError("give either p= or rp=, not both")

@@ -79,6 +79,14 @@ def spectrum(f: GridFunction) -> np.ndarray:
     return (np.fft.fftn(f.values) * (f.L / f.N) ** f.n).reshape(-1)
 
 
+def _finite_spectrum(f: GridFunction) -> np.ndarray:
+    """spectrum(f) for a localization or a norm: non-finite samples raise
+    DomainError before the FFT, which would warn about them."""
+    if not np.isfinite(f.values).all():
+        raise DomainError("the function holds non-finite samples")
+    return spectrum(f)
+
+
 def from_spectrum(spec_flat: np.ndarray, n: int, N: int, L: float,
                   band_limit=None) -> GridFunction:
     vals = np.fft.ifftn(spec_flat.reshape((N,) * n)) * (N / L) ** n
@@ -88,7 +96,7 @@ def from_spectrum(spec_flat: np.ndarray, n: int, N: int, L: float,
 def box_apply(f: GridFunction, member: PartitionMember) -> GridFunction:
     """Frequency-localize f with one window: inverse FT of (window * FT f)."""
     _check_same_grid(f, f.n, member.grid_N, member.grid_L)
-    piece, limit = localize(spectrum(f), member, f.band_limit)
+    piece, limit = localize(_finite_spectrum(f), member, f.band_limit)
     return from_spectrum(piece, f.n, f.N, f.L, band_limit=limit)
 
 
@@ -280,7 +288,7 @@ def window_lp_norms(spec_flat: np.ndarray, bins: np.ndarray, samples: np.ndarray
 def space_norm(f: GridFunction, params: SpaceParams, partition: Partition) -> NormResult:
     """Covering-decomposition norm: weighted l_q of per-window L^p pieces."""
     _check_same_grid(f, partition.n, partition.N, partition.L)
-    return spectrum_norm(spectrum(f), f.band_limit, params, partition)
+    return spectrum_norm(_finite_spectrum(f), f.band_limit, params, partition)
 
 
 def spectrum_norm(spec_flat: np.ndarray, band_limit, params: SpaceParams,
@@ -316,7 +324,7 @@ def coarse_norm(f: GridFunction, alpha1, alpha2, s, rp, rq,
         raise ParameterError("partitions do not match the requested alphas")
     for partition in (partition1, partition2):
         _check_same_grid(f, partition.n, partition.N, partition.L)
-    spec = spectrum(f)
+    spec = _finite_spectrum(f)
     _check_band(spec, f.band_limit, partition2)
     inner_params = SpaceParams(rp=rp, rq=rq, s=0, alpha=alpha1, n=f.n)
     outer = np.zeros(len(partition2.members))

@@ -10,6 +10,7 @@ tolerance of 1e-12.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +31,12 @@ Q_UP = "QUp"      # 1/q2 >  1/q1
 
 def is_exact(*values: Scalar) -> bool:
     """True when every value supports exact rational arithmetic."""
-    return all(isinstance(v, (int, Fraction)) for v in values)
+    for v in values:
+        # exact-type tests first: isinstance on the Fraction ABC is slow
+        if type(v) is not int and type(v) is not Fraction \
+                and not isinstance(v, (int, Fraction)):
+            return False
+    return True
 
 
 def _ge(x: Scalar, y: Scalar, exact: bool) -> bool:
@@ -54,19 +60,47 @@ def as_scalar(value) -> Scalar:
 
     Rational strings and ints stay exact; everything else becomes float.
     """
+    if isinstance(value, str):
+        return _text_scalar(value)
     if isinstance(value, (int, Fraction)):
         return value
     if isinstance(value, float):
         return value
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text in ("inf", "infinity", "oo"):
-            return math.inf
-        try:
-            return Fraction(text)
-        except ValueError:
-            return float(text)
     raise ParameterError(f"cannot interpret {value!r} as a scalar")
+
+
+# queries repeat a small vocabulary of field texts ('1/2', 'inf', '-0.35'),
+# so each distinct text is parsed once; errors are raised, never cached
+@functools.lru_cache(maxsize=1024)
+def _text_scalar(value: str) -> Scalar:
+    text = value.strip().lower()
+    if text in ("inf", "infinity", "oo"):
+        return math.inf
+    if "e" in text:
+        text = _float_range_checked(text)
+    try:
+        return Fraction(text)
+    except ValueError:
+        return float(text)
+    except ZeroDivisionError:
+        raise ParameterError(f"zero denominator in {value!r}") from None
+
+
+def _float_range_checked(text: str) -> str:
+    """Decimal text with an exponent, checked before Fraction builds a power
+    of ten with as many digits as the exponent: a nonzero value that a float
+    cannot hold is rejected, and a zero drops its exponent."""
+    try:
+        approx = float(text)
+    except ValueError:
+        return text  # not a decimal: the parse decides
+    if approx != 0 and not math.isinf(approx):
+        return text
+    mantissa = text.partition("e")[0]
+    if mantissa.strip("+-._0"):
+        raise ParameterError(f"{text!r} lies outside the float range: as a float "
+                             "it is not finite or rounds to 0")
+    return mantissa
 
 
 @dataclass(frozen=True)
@@ -107,7 +141,18 @@ class SpaceParams:
 
 
 def _reciprocal(value) -> Scalar:
-    v = as_scalar(value)
+    """1/p of a Lebesgue exponent p given as a number or as text."""
+    if isinstance(value, str):
+        return _text_reciprocal(value)
+    return _reciprocal_of(as_scalar(value), value)
+
+
+@functools.lru_cache(maxsize=1024)
+def _text_reciprocal(value: str) -> Scalar:
+    return _reciprocal_of(_text_scalar(value), value)
+
+
+def _reciprocal_of(v: Scalar, value) -> Scalar:
     if v == math.inf:
         return 0
     if v <= 0:

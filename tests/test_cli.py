@@ -4,7 +4,9 @@ import json
 import math
 import random
 import struct
+import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,6 +56,22 @@ class TestParseSpace:
     def test_bad_pair(self):
         with pytest.raises(ParameterError):
             parse_space("p:2")
+
+    def test_every_key_accepted(self):
+        p = parse_space(" P=4 , q=1/2,s=3/4, ALPHA=1/3,n=2 ")
+        assert (p.rp, p.rq, p.s, p.alpha, p.n) == (Fraction(1, 4), 2, Fraction(3, 4),
+                                                  Fraction(1, 3), 2)
+        assert parse_space("rp=1/4,rq=0").rq == 0
+
+    @pytest.mark.parametrize("text", ["p=1,q=2,s=0,alhpa=1/2", "p=2,x=1", "=2"])
+    def test_unknown_key(self, text):
+        with pytest.raises(ParameterError, match="unknown key"):
+            parse_space(text)
+
+    @pytest.mark.parametrize("text", ["p=1,q=2,s=0,p=4", "s=0,S=1", "n=1,n=1"])
+    def test_repeated_key(self, text):
+        with pytest.raises(ParameterError, match="given twice"):
+            parse_space(text)
 
 
 class TestDecideCommand:
@@ -322,6 +340,27 @@ class TestRejectedInputs:
                                    "--target", source], capsys)
         assert status == EXIT_CONFIG
         assert out == "" and "finite" in err
+
+    @pytest.mark.parametrize("source, message", [
+        ("p=1,q=2,s=0,alhpa=1/2", "unknown key 'alhpa'"),
+        ("p=1,q=2,s=0,alpha=0,p=4", "key 'p' given twice"),
+        ("p=1/0,q=2,s=0,alpha=0", "zero denominator"),
+        ("p=2,q=2,s=0,alpha=1/0", "zero denominator"),
+        ("p=2,q=2,s=1e999999999,alpha=0", "float range"),
+        ("p=1e-999999999,q=2,s=0,alpha=0", "float range"),
+    ])
+    def test_space_text_rejected(self, capsys, source, message):
+        start = time.perf_counter()
+        status, out, err = invoke(["decide", "--source", source,
+                                   "--target", "p=2,q=2,s=0,alpha=0"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert status == EXIT_CONFIG
+        assert out == "" and message in err
+
+    def test_covering_alpha_zero_denominator(self, capsys):
+        status, out, err = invoke(["covering", "--alpha", "1/0", "--grid", "64,1"], capsys)
+        assert status == EXIT_CONFIG
+        assert out == "" and "zero denominator" in err
 
     def test_covering_alpha_beyond_float_range(self, capsys):
         status, out, err = invoke(["covering", "--alpha", "1e400", "--grid", "64,1"], capsys)

@@ -246,19 +246,22 @@ class TestSpaceNorm:
         with pytest.raises(TruncationError):
             space_norm(f, sp(0.5, 0.5, 0.0, 0.0), part)
 
-    # the forward FFT of an inf sample warns before the norm rejects it
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    # rejected before the forward FFT, which would warn about an inf sample
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.inf)])
     def test_non_finite_samples_rejected(self, parts, bad):
         part = parts[0.5]
         values = np.array(witness_bump(3, 0.5, part).values)
         values[17] = bad
-        for band_limit in (None, 10.0):
-            f = GridFunction(1, part.N, part.L, values, band_limit=band_limit)
-            with pytest.raises(DomainError, match="non-finite"):
-                space_norm(f, sp(0.5, 0.5, 0.0, 0.5), part)
-            with pytest.raises(DomainError, match="non-finite"):
-                coarse_norm(f, 0.5, 0.5, 0.0, 0.5, 0.5, part, part)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for band_limit in (None, 10.0):
+                f = GridFunction(1, part.N, part.L, values, band_limit=band_limit)
+                with pytest.raises(DomainError, match="non-finite"):
+                    space_norm(f, sp(0.5, 0.5, 0.0, 0.5), part)
+                with pytest.raises(DomainError, match="non-finite"):
+                    coarse_norm(f, 0.5, 0.5, 0.0, 0.5, 0.5, part, part)
+                with pytest.raises(DomainError, match="non-finite"):
+                    box_apply(f, part.member(3))
 
     def test_dyadic_weights(self, parts):
         part = parts[1.0]

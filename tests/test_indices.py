@@ -2,8 +2,10 @@
 
 import math
 import random
+import time
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from alphamod.errors import DomainError, ParameterError
@@ -14,9 +16,14 @@ from alphamod.indices import (
     Q_UP,
     PowerWeight,
     SpaceParams,
+    _reciprocal,
+    _text_reciprocal,
+    _text_scalar,
+    as_scalar,
     embedding_decide,
     growth_index,
     embedding_index,
+    is_exact,
     region_classify,
     seq_multiplier_norm_closed,
     shared_exponent_decide,
@@ -341,3 +348,128 @@ class TestSeqMultiplierClosed:
             checked += 1
             assert (norm < math.inf) is verdict.embeds, (src, tgt, norm, verdict)
         assert checked == 400
+
+
+def _parse_reference(text):
+    """as_scalar of text as it read before field texts were memoised."""
+    text = text.strip().lower()
+    if text in ("inf", "infinity", "oo"):
+        return math.inf
+    try:
+        return F(text)
+    except ValueError:
+        return float(text)
+
+
+def _reciprocal_reference(text):
+    v = _parse_reference(text)
+    if v == math.inf:
+        return 0
+    if v <= 0:
+        raise ParameterError(f"Lebesgue exponent must be positive, got {text!r}")
+    if isinstance(v, (int, F)):
+        return F(1, 1) / v
+    return 1.0 / v
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except (ParameterError, ValueError) as exc:
+        return type(exc)
+
+
+def _same(got, want):
+    if isinstance(want, type):
+        return got is want
+    if type(got) is not type(want):
+        return False
+    return got == want or (math.isnan(got) and math.isnan(want))
+
+
+PARITY_TEXTS = ["1/2", "0.5", " INF ", "Infinity", "oo", "+3/4", "-0.00", "1e-1",
+                "2.50", "1_000", "nan"]
+
+
+class TestTextScalars:
+    """Field texts go through a memo; values and types match an uncached
+    Fraction(text) with the float(text) fallback."""
+
+    @pytest.mark.parametrize("text", PARITY_TEXTS)
+    def test_as_scalar_parity(self, text):
+        want = _parse_reference(text)
+        for _ in range(2):  # the second call is answered from the memo
+            assert _same(as_scalar(text), want)
+
+    @pytest.mark.parametrize("text", PARITY_TEXTS)
+    def test_reciprocal_parity(self, text):
+        want = _outcome(_reciprocal_reference, text)
+        for _ in range(2):
+            assert _same(_outcome(_reciprocal, text), want)
+
+    @pytest.mark.parametrize("text, error", [("1/0", ParameterError),
+                                             ("abc", ValueError),
+                                             ("1e999999999", ParameterError)])
+    def test_bad_text_raises_every_call(self, text, error):
+        before = _text_scalar.cache_info().currsize, _text_reciprocal.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(error):
+                as_scalar(text)
+            with pytest.raises(error):
+                _reciprocal(text)
+        after = _text_scalar.cache_info().currsize, _text_reciprocal.cache_info().currsize
+        assert after == before
+
+    def test_reciprocal_errors_not_cached(self):
+        for _ in range(3):
+            with pytest.raises(ParameterError, match="positive"):
+                _reciprocal("-1/2")
+
+    def test_caches_bounded(self):
+        for cached in (_text_scalar, _text_reciprocal):
+            assert cached.cache_info().maxsize is not None
+            assert cached.cache_info().maxsize <= 4096
+
+    def test_zero_denominator(self):
+        for text in ("1/0", "0/0", " -3/0 "):
+            with pytest.raises(ParameterError, match="zero denominator"):
+                as_scalar(text)
+        with pytest.raises(ParameterError, match="zero denominator"):
+            SpaceParams.from_exponents("1/0", 2, 0, 0)
+
+    @pytest.mark.parametrize("text", ["1e999999999", "-1e999999999", "1e-999999999",
+                                      "2.5e-999999999", "1e400", "1e-400", "2e-324"])
+    def test_beyond_float_range_rejected_before_parse(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match="float range"):
+            as_scalar(text)
+        with pytest.raises(ParameterError, match="float range"):
+            _reciprocal(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_zero_and_subnormal_exponents_stay_exact(self):
+        start = time.perf_counter()
+        for text in ("0e999999999", "-0.00e-999999999", "0_0e5"):
+            assert _same(as_scalar(text), _parse_reference(text.partition("e")[0]))
+        assert time.perf_counter() - start < 1.0
+        assert as_scalar("1e-320") == F(1, 10 ** 320)
+        assert as_scalar("1.5e308") == F(15 * 10 ** 307)
+
+
+class _FractionSubclass(F):
+    pass
+
+
+class TestIsExact:
+    VALUES = [0, 3, True, False, F(1, 2), _FractionSubclass(1, 3), 0.5, math.inf,
+              np.float64(0.5), np.int64(3), np.bool_(True)]
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    def test_matches_isinstance_rule(self, value):
+        assert is_exact(value) is isinstance(value, (int, F))
+
+    def test_all_values(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            values = rng.sample(self.VALUES, rng.randrange(0, 4))
+            assert is_exact(*values) is all(isinstance(v, (int, F)) for v in values)

@@ -12,7 +12,8 @@ whose outputs agree print the same lines, so a refactor is checked with
     diff <(python tools/output_hashes.py OLD) <(python tools/output_hashes.py NEW)
 
 Results are serialised with sets sorted and floats in hex, so the lines do
-not depend on ``PYTHONHASHSEED``.
+not depend on ``PYTHONHASHSEED``.  A command line still running after
+CLI_TIMEOUT seconds is stopped and prints ``exit=timeout``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ import tempfile
 import numpy as np
 
 SEEDS = (41, 3)
+
+# seconds a command line may run; one that runs longer prints exit=timeout
+CLI_TIMEOUT = 60
 
 _SWEEP = ("--source", "p=1,q=inf,s=0,alpha=0", "--target", "p=inf,q=inf,s=0,alpha=0.5")
 
@@ -66,6 +70,14 @@ COMMANDS = [
     ("exit2-grid-points", ["covering", "--alpha", "0", "--n", "2"]),
     ("exit2-float-range", ["decide", "--source", "p=2,q=2,s=1e400,alpha=0",
                            "--target", "p=2,q=2,s=0,alpha=0"]),
+    ("exit2-unknown-key", ["decide", "--source", "p=1,q=2,s=0,alhpa=1/2",
+                           "--target", "p=2,q=2,s=0,alpha=0"]),
+    ("exit2-repeated-key", ["decide", "--source", "p=1,q=2,s=0,alpha=0,p=4",
+                            "--target", "p=2,q=2,s=0,alpha=0"]),
+    ("exit2-zero-denominator", ["decide", "--source", "p=1/0,q=2,s=0,alpha=0",
+                                "--target", "p=2,q=2,s=0,alpha=0"]),
+    ("exit2-huge-exponent", ["decide", "--source", "p=2,q=2,s=1e999999999,alpha=0",
+                             "--target", "p=2,q=2,s=0,alpha=0"]),
     ("exit2-constants", ["covering", "--alpha", "0", "--alpha-constants", "0.3"]),
     ("exit2-empty-octaves", ["verify-asymptotics", *_SWEEP, "--j-range", "9:4"]),
     ("exit2-unwritable-out", ["decide", *_SWEEP, "--out", "missing/out.json"]),
@@ -138,8 +150,13 @@ def cli_lines(root: str) -> list:
     with tempfile.TemporaryDirectory() as work:
         subprocess.run([sys.executable, "-c", _WRITE_INPUTS], cwd=work, env=env, check=True)
         for name, argv in COMMANDS:
-            proc = subprocess.run([sys.executable, "-m", "alphamod.cli", *argv],
-                                  cwd=work, env=env, capture_output=True)
+            try:
+                proc = subprocess.run([sys.executable, "-m", "alphamod.cli", *argv],
+                                      cwd=work, env=env, capture_output=True,
+                                      timeout=CLI_TIMEOUT)
+            except subprocess.TimeoutExpired:
+                lines.append(f"cli {name} exit=timeout")
+                continue
             lines.append(f"cli {name} exit={proc.returncode} stdout={sha(proc.stdout)} "
                          f"stderr={sha(proc.stderr)}")
         for name in WRITTEN:
