@@ -22,25 +22,13 @@ from typing import Optional
 import numpy as np
 
 from .covering import (Covering, CoveringSpec, Partition, ball_geometry,
-                       build_partition, covering_for, window_base)
+                       build_partition, covering_for, freq_axis, warp, warp_radius,
+                       window_base)
 from .errors import DomainError, GeometryError, ParameterError, TruncationError
-from .grids import (
-    WITNESS_SAFETY,
-    # unused here; bench/spans.py traces box_apply at this name as well
-    box_apply,
-    bump_train,
-    from_spectrum,
-    localize,
-    lp_quasinorm,
-    random_band_limited,
-    smoothness_weights,
-    space_norm,
-    spectrum,
-    spectrum_norm,
-    weighted_lq,
-    window_lp_norms,
-    witness_bump,
-)
+# box_apply and witness_bump are unused here; bench/spans.py traces them here too
+from .grids import (WITNESS_SAFETY, box_apply, bump_train, from_spectrum, lp_quasinorm,
+                    random_band_limited, smoothness_weights, space_norm, weighted_lq,
+                    window_lp_norms, witness_band, witness_bump)
 from .indices import (TERM_LABELS, SpaceParams, embedding_decide, growth_index,
                       seq_multiplier_norm_closed)
 
@@ -145,11 +133,26 @@ def matched_fine_index(k: int, a: float, b: float) -> int:
     return best
 
 
+def lab_safe_radius(alpha: float, grid: tuple) -> tuple:
+    """Largest usable window index and safe radius of the lab partition of
+    alpha on the grid (N, L), from geometry: the first window whose support
+    reaches N/(2L) is not usable, and the safe radius stops at its inner edge."""
+    N, L = grid
+    cov, nyquist = lab_covering(alpha), N / (2.0 * L)
+    # window k sits near k in warped coordinates, so the scan starts close
+    k = max(1, int(float(warp_radius(nyquist, cov.alpha)) - cov.r0) - 1)
+    while k > 1 and cov.support_outer_radius(k - 1) >= nyquist:
+        k -= 1
+    while cov.support_outer_radius(k) < nyquist:
+        k += 1
+    return k - 1, min(cov.support_interval(k)[0], nyquist)
+
+
 def plan_grid(source: SpaceParams, target: SpaceParams, k: int, *,
-              l_fine: Optional[int] = None) -> Optional[dict]:
-    """Choose (N, L) so the single-bump witnesses anchored at window k fit,
-    and return the lab partitions of both alphas on it, keyed by float
-    alpha; None if DEFAULT_BUDGET points cannot accommodate them."""
+              l_fine: Optional[int] = None) -> Optional[tuple]:
+    """Choose (N, L) so the single-bump witnesses anchored at window k fit:
+    window k of the coarser lab covering is usable and its support lies inside
+    the safe radii of both alphas; None if DEFAULT_BUDGET points cannot."""
     a1, a2 = float(source.alpha), float(target.alpha)
     a, b = min(a1, a2), max(a1, a2)
     # more than c grid points are needed for a window centred at c, so none
@@ -164,40 +167,88 @@ def plan_grid(source: SpaceParams, target: SpaceParams, k: int, *,
     # the next coarse window must also be usable, or the safe window stops
     # short of the anchor's own support
     reach = cov_b.support_outer_radius(k + 2) * 1.02 + 2.0
-    frac_a = lab_witness_fraction(a)
-    frac_b = lab_witness_fraction(b)
-    widths = [1.0 / (frac_b * scale_k)]
+    widths = [1.0 / (lab_witness_fraction(b) * scale_k)]
     if l_fine is not None:
-        _, scale_l = ball_geometry(l_fine, a)
-        widths.append(1.0 / (frac_a * scale_l))
+        widths.append(1.0 / (lab_witness_fraction(a) * ball_geometry(l_fine, a)[1]))
     L = max(16.0, 12.0 * max(widths))
     N = _next_pow2(2.0 * L * reach)
     while N > DEFAULT_BUDGET and L > 18.0:
         L *= 0.75
         N = _next_pow2(2.0 * L * reach)
-    if N > DEFAULT_BUDGET:
-        return None
-    while True:
-        partitions = {x: partition_for(x, N, L) for x in (a1, a2)}
-        satisfied = (k in partitions[b]
-                     and all(p.safe_radius >= cov_b.support_outer_radius(k)
-                             for p in partitions.values()))
-        if satisfied:
-            return partitions
+    outer_k = cov_b.support_outer_radius(k)
+    while N <= DEFAULT_BUDGET:
+        k_usable, safe_b = lab_safe_radius(b, (N, L))
+        if k <= k_usable and min(safe_b, lab_safe_radius(a, (N, L))[1]) >= outer_k:
+            return N, L
         N *= 2
-        if N > DEFAULT_BUDGET:
-            return None
+    return None
 
 
-def _packed_rows(rows):
-    """Dense window rows as the bins, samples and offsets window_lp_norms takes."""
+def _band_bins(lo: float, hi: float, grid: tuple) -> tuple:
+    """fft-layout positions and frequencies of the bins of the grid (N, L) in
+    [lo, hi], and one more on each side inside the Nyquist band."""
+    N, L = grid
+    pos = np.arange(max(math.floor(lo * L) - 1, -(N // 2)),
+                    min(math.ceil(hi * L) + 1, N // 2 - 1) + 1) % N
+    return pos, freq_axis(N, L)[pos]
+
+
+def _packed_windows(alpha: float, xi: np.ndarray, pos: np.ndarray, ks=None) -> tuple:
+    """(ks, (bins, samples, offsets)): windows ks of lab_covering(alpha), by
+    default those meeting the ascending frequencies xi, sampled at xi and
+    packed for window_lp_norms at the spectrum positions pos."""
+    cov = lab_covering(alpha)
+    if ks is None:
+        y_lo, y_hi = (float(y) for y in warp(xi[[0, -1]], cov.alpha) + [-cov.r0, cov.r0])
+        ks = [l for l in range(math.floor(y_lo) - 1, math.ceil(y_hi) + 2)
+              if y_lo < cov.lattice_image(l) < y_hi]
     bins, samples, offsets = [], [], [0]
-    for row in rows:
+    for row in cov.normalized_windows(ks, xi):
         at = np.flatnonzero(row)
-        bins.append(at)
+        bins.append(pos[at])
         samples.append(row[at])
         offsets.append(offsets[-1] + at.size)
-    return np.concatenate(bins), np.concatenate(samples), np.array(offsets)
+    return list(ks), (np.concatenate(bins), np.concatenate(samples), np.array(offsets))
+
+
+def _band_ratio(k: int, source: SpaceParams, target: SpaceParams, spec: np.ndarray,
+                grid: tuple, target_windows: tuple, source_windows: tuple) -> float:
+    """Norm ratio of spec * eta_k in the target space over spec in the source
+    space, s = 0, for a flat fft-layout spectrum on the grid (N, L); each
+    side is measured on _packed_windows holding every window that meets the
+    support of spec, and eta_k is window k of the coarser side."""
+    N, L = grid
+    a1, a2 = float(source.alpha), float(target.alpha)
+    ks, (bins, samples, offsets) = target_windows if a2 >= a1 else source_windows
+    boxed = np.zeros_like(spec)
+    if k in ks:
+        at = slice(offsets[ks.index(k)], offsets[ks.index(k) + 1])
+        boxed[bins[at]] = spec[bins[at]] * samples[at]
+    num = weighted_lq(window_lp_norms(boxed, *target_windows[1], (1, N, L), target.rp), target.rq)
+    den = weighted_lq(window_lp_norms(spec, *source_windows[1], (1, N, L), source.rp), source.rq)
+    if den == 0.0:
+        raise GeometryError("witness has vanishing source norm")
+    return num / den
+
+
+def _bump_ratio(l: int, alpha: float, k: int, source: SpaceParams, target: SpaceParams,
+                grid: tuple) -> float:
+    """_band_ratio of the bump witness of window l of lab_covering(alpha): one
+    bump profile dilated and centred to the window, at the bins of its band."""
+    N, L = grid
+    b = max(float(source.alpha), float(target.alpha))
+    center, scale, frac, creach = witness_band(l, alpha, lab_covering(alpha), N, L)
+    # the band of the piece on the target covering, the witness's on the source's
+    piece = min(creach, lab_covering(b).support_outer_radius(k))
+    for limit, side in ((piece, target), (creach, source)):
+        safe = lab_safe_radius(side.alpha, grid)[1]
+        if limit > safe:
+            raise TruncationError(f"declared band limit {limit} exceeds safe radius {safe}")
+    pos, xi = _band_bins(center - frac * scale, center + frac * scale, grid)
+    spec = np.zeros(N, dtype=complex)
+    spec[pos] = bump_train(xi, [(center, scale)], 0.0, frac)
+    return _band_ratio(k, source, target, spec, grid, _packed_windows(target.alpha, xi, pos),
+                       _packed_windows(source.alpha, xi, pos))
 
 
 def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams) -> Optional[float]:
@@ -214,7 +265,6 @@ def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams) -> Optional[
 
     a1, a2 = float(source.alpha), float(target.alpha)
     a, b = min(a1, a2), max(a1, a2)
-    cov_b, cov_a = lab_covering(b), lab_covering(a)
     if a == b:
         members = [k]
     else:
@@ -228,8 +278,11 @@ def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams) -> Optional[
     geo = {l: ball_geometry(l, a) for l in members}
     wmax = max(1.0 / (frac * geo[l][1]) for l in members)
     count = len(members)
+    coarse, fine = (k - 1, k, k + 1), range(members[0] - 2, members[-1] + 3)
+    # the target's windows, then the source's
+    windows = ((a2, coarse), (a1, fine)) if a1 <= a2 else ((a2, fine), (a1, coarse))
 
-    def build(sep: float):
+    def measure(sep: float) -> Optional[float]:
         pitch = sep * wmax
         span = (count - 1) * pitch + 8.0 * wmax
         L = max(24.0, span / 0.7)
@@ -238,71 +291,36 @@ def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams) -> Optional[
         N = _next_pow2(2.0 * L * band)
         if N > DEFAULT_BUDGET:
             return None
-        xi = np.fft.fftfreq(N, d=L / N) + c_ref
-        return N, L, xi, bump_train(xi, [geo[l] for l in members], pitch, frac)
+        xi, pos = np.fft.fftfreq(N, d=L / N) + c_ref, np.arange(N)
+        spec = bump_train(xi, [geo[l] for l in members], pitch, frac)
+        return _band_ratio(k, source, target, spec, (N, L),
+                           *(_packed_windows(x, xi, pos, ks) for x, ks in windows))
 
-    def measure(built) -> float:
-        N, L, xi, total = built
-        eta_b = list(cov_b.normalized_windows((k - 1, k, k + 1), xi))
-        boxed = total * eta_b[1]
-        coarse = _packed_rows(eta_b)
-        fine = _packed_rows(cov_a.normalized_windows(
-            range(members[0] - 2, members[-1] + 3), xi))
-        num_rows, den_rows = (coarse, fine) if a1 <= a2 else (fine, coarse)
-        num = weighted_lq(window_lp_norms(boxed, *num_rows, (1, N, L), target.rp), target.rq)
-        den = weighted_lq(window_lp_norms(total, *den_rows, (1, N, L), source.rp), source.rq)
-        if den == 0.0:
-            raise GeometryError("spread witness has vanishing source norm")
-        return num / den
-
-    built = build(3.0) or build(2.0)
-    if built is None:
+    value = measure(3.0)
+    value = measure(2.0) if value is None else value
+    if value is None:
         return None
-    value = measure(built)
     if count > 1:
-        doubled = build(6.0)
-        if doubled is not None:
-            check = measure(doubled)
-            if abs(check - value) > 0.02 * max(check, value):
-                value = check
+        check = measure(6.0)
+        if check is not None and abs(check - value) > 0.02 * max(check, value):
+            value = check
     return value
 
 
 # -- operator-norm lower bounds ---------------------------------------------
 
-def _norm_ratio(spec, band_limit, member, source: SpaceParams, target: SpaceParams,
-                part1: Partition, part2: Partition) -> float:
-    m1 = SpaceParams(rp=source.rp, rq=source.rq, s=0, alpha=source.alpha)
-    m2 = SpaceParams(rp=target.rp, rq=target.rq, s=0, alpha=target.alpha)
-    num = spectrum_norm(*localize(spec, member, band_limit), m2, part2).value
-    den = spectrum_norm(spec, band_limit, m1, part1).value
-    if den == 0.0:
-        raise GeometryError("witness has vanishing source norm")
-    return num / den
-
-
 def box_opnorm_lower(k: int, source: SpaceParams, target: SpaceParams,
-                     grid: dict) -> list:
-    """Witness-function lower bounds for the localized operator norm at k.
-
-    Produces one sample per witness family of TERM_LABELS, on the lab
-    partitions of plan_grid; the spread witness runs on its own
-    demodulated grid and is skipped when no window is absorbed or the
-    budget is too small.
-    """
+                     grid: tuple) -> list:
+    """Witness-function lower bounds for the localized operator norm at k:
+    one sample per witness family of TERM_LABELS, the bump witnesses on the
+    lab grid (N, L) of plan_grid, the spread witness on its own demodulated
+    grid (skipped when no window is absorbed or the budget is too small)."""
     if float(target.rp) > float(source.rp):
         raise ParameterError("lower-bound sweeps require 1/p2 <= 1/p1")
-    a1, a2 = float(source.alpha), float(target.alpha)
-    a, b = min(a1, a2), max(a1, a2)
-    member_k = grid[b].member(k)
+    a, b = sorted((float(source.alpha), float(target.alpha)))
     eff = eff_logscale(k, b)
-
-    def bump_ratio(f):
-        return _norm_ratio(spectrum(f), f.band_limit, member_k, source, target,
-                           grid[a1], grid[a2])
-
-    ratios = (bump_ratio(witness_bump(matched_fine_index(k, a, b), a, grid[a])),
-              bump_ratio(witness_bump(k, b, grid[b])),
+    ratios = (_bump_ratio(matched_fine_index(k, a, b), a, k, source, target, grid),
+              _bump_ratio(k, b, k, source, target, grid),
               _spread_ratio(k, source, target))
     return [OpNormSample(j=int(round(eff)), k=k, witness=label, lower_bound=value,
                          eff_logscale=eff)
@@ -315,42 +333,37 @@ def _check_count(name: str, value, least: int):
 
 
 def box_opnorm_montecarlo(k: int, source: SpaceParams, target: SpaceParams,
-                          grid: dict, trials: int = 64, seed: int = 0) -> OpNormSample:
-    """Random-input estimate of the same localized norm; maximizes over the
-    witness functions plus random band-limited spectra near window k."""
+                          grid: tuple, trials: int = 64, seed: int = 0) -> OpNormSample:
+    """Random-input estimate of the same localized norm: the witnesses and
+    random spectra on the usable windows of LambdaStar(k), inside the safe radii."""
     _check_count("trials", trials, 1)
     _check_count("seed", seed, 0)
     a1, a2 = float(source.alpha), float(target.alpha)
     b = max(a1, a2)
-    part_b, part_1, part_2 = grid[b], grid[a1], grid[a2]
-    member_k = part_b.member(k)
-    best = max(s.lower_bound for s in
-               box_opnorm_lower(k, source, target, grid))
-
+    best = max(s.lower_bound for s in box_opnorm_lower(k, source, target, grid))
     from .covering import neighbor_set
 
-    star = neighbor_set("LambdaStar", k, b)
-    size = part_b.N ** part_b.n
-    mask = np.zeros(size, dtype=bool)
-    reach = 0.0
-    for l in star:
-        if l in part_b:
-            m = part_b.member(l)
-            mask[m.idx] = True
-            reach = max(reach, float(np.abs(np.atleast_1d(m.center))[0]) + m.support_radius)
-    safe = min(p.safe_radius for p in grid.values())
+    N, L = grid
+    cov_b = lab_covering(b)
+    star = [l for l in sorted(neighbor_set("LambdaStar", k, b))
+            if abs(l) <= lab_safe_radius(b, grid)[0]]
+    pos, xi = _band_bins(cov_b.support_interval(star[0])[0],
+                         cov_b.support_interval(star[-1])[1], grid)
+    windows = [_packed_windows(x, xi, pos) for x in (a2, a1)]
+    ks, (bins, _, offsets) = windows[0] if a2 >= a1 else windows[1]
+    drawn = np.unique(np.concatenate([bins[offsets[i]:offsets[i + 1]]
+                                      for i, l in enumerate(ks) if l in star]))
+    reach = max(cov_b.support_outer_radius(l) for l in star)
+    safe = min(lab_safe_radius(x, grid)[1] for x in (a1, a2))
     if reach > safe:
-        xi = np.abs(np.fft.fftfreq(part_b.N, d=part_b.L / part_b.N))
-        mask &= xi <= safe * 0.98
-        reach = safe * 0.98
-    bins = np.nonzero(mask)[0]
+        drawn = drawn[np.abs(freq_axis(N, L)[drawn]) <= safe * 0.98]
 
     def one_trial(trial_seed: int) -> float:
         rng = np.random.default_rng(trial_seed)
-        spec = np.zeros(size, dtype=complex)
-        spec[bins] = rng.standard_normal(bins.size) + 1j * rng.standard_normal(bins.size)
+        spec = np.zeros(N, dtype=complex)
+        spec[drawn] = rng.standard_normal(drawn.size) + 1j * rng.standard_normal(drawn.size)
         try:
-            return _norm_ratio(spec, reach, member_k, source, target, part_1, part_2)
+            return _band_ratio(k, source, target, spec, grid, *windows)
         except GeometryError:
             return 0.0
 
@@ -514,8 +527,7 @@ def embedding_consistency_check(source: SpaceParams, target: SpaceParams,
         raise ParameterError("consistency sweeps measure one-dimensional windows: they need n = 1")
     if float(target.rp) > float(source.rp):
         raise ParameterError("consistency sweeps require 1/p2 <= 1/p1")
-    a1, a2 = float(source.alpha), float(target.alpha)
-    b = max(a1, a2)
+    b = max(float(source.alpha), float(target.alpha))
     if b >= 1.0:
         raise ParameterError("consistency sweeps cover alpha < 1")
     if truncation < 4:
@@ -524,19 +536,13 @@ def embedding_consistency_check(source: SpaceParams, target: SpaceParams,
     margin = float(verdict.margin)
     lower = {}
     for k in range(0, truncation + 1):
-        if k == 0:
-            grid = plan_grid(source, target, 1)
-            if grid is None:
-                raise GeometryError("budget too small for the base grid")
-            f = witness_bump(0, b, grid[b])
-            lower[0] = _norm_ratio(spectrum(f), f.band_limit, grid[b].member(0),
-                                   source, target, grid[a1], grid[a2])
-            continue
-        grid = plan_grid(source, target, k)
+        grid = plan_grid(source, target, max(k, 1))
+        if grid is None and k == 0:
+            raise GeometryError("budget too small for the base grid")
         if grid is None:
             break
-        samples = box_opnorm_lower(k, source, target, grid)
-        lower[k] = max(s.lower_bound for s in samples)
+        lower[k] = (_bump_ratio(0, b, 0, source, target, grid) if k == 0 else
+                    max(s.lower_bound for s in box_opnorm_lower(k, source, target, grid)))
     k_avail = max(lower)
     if k_avail < 4:
         raise GeometryError(

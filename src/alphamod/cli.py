@@ -59,12 +59,14 @@ EXIT_INTERNAL = 4
 MAX_GRID_POINTS = 2 ** 20
 
 
-# the keys of a space's key=value list
-SPACE_KEYS = ("p", "q", "rp", "rq", "s", "alpha", "n")
+# the keys of a space's key=value list, each with the parser of its value
+SPACE_KEYS = {"p": _reciprocal, "q": _reciprocal, "rp": as_scalar, "rq": as_scalar,
+              "s": as_scalar, "alpha": as_scalar, "n": int}
 
 
 def parse_space(text: str, n: int = 1) -> SpaceParams:
-    """Parse 'p=2,q=inf,s=1/2,alpha=0.5' (or rp=/rq= forms) into parameters."""
+    """Parse 'p=2,q=inf,s=1/2,alpha=0.5' (or rp=/rq= forms) into parameters;
+    an error in a value names its key."""
     fields = {}
     for item in text.split(","):
         item = item.strip()
@@ -78,24 +80,18 @@ def parse_space(text: str, n: int = 1) -> SpaceParams:
             raise ParameterError(f"unknown key {key!r}; expected one of {', '.join(SPACE_KEYS)}")
         if key in fields:
             raise ParameterError(f"key {key!r} given twice")
-        fields[key] = value.strip()
-    kwargs = {}
+        try:
+            fields[key] = SPACE_KEYS[key](value.strip())
+        except (ParameterError, ValueError, ArithmeticError) as exc:
+            raise ParameterError(f"{key}: {exc}") from None
     if "p" in fields and "rp" in fields:
         raise ParameterError("give either p= or rp=, not both")
     if "q" in fields and "rq" in fields:
         raise ParameterError("give either q= or rq=, not both")
-    sval = as_scalar(fields.get("s", 0))
-    alpha = as_scalar(fields.get("alpha", 0))
-    dim = int(fields.get("n", n))
-    if "rp" in fields:
-        kwargs["rp"] = as_scalar(fields["rp"])
-    else:
-        kwargs["rp"] = _reciprocal(fields.get("p", "2"))
-    if "rq" in fields:
-        kwargs["rq"] = as_scalar(fields["rq"])
-    else:
-        kwargs["rq"] = _reciprocal(fields.get("q", "2"))
-    return SpaceParams(s=sval, alpha=alpha, n=dim, **kwargs)
+    half = _reciprocal("2")
+    return SpaceParams(rp=fields.get("rp", fields.get("p", half)),
+                       rq=fields.get("rq", fields.get("q", half)),
+                       s=fields.get("s", 0), alpha=fields.get("alpha", 0), n=fields.get("n", n))
 
 
 def parse_grid(text: str):
@@ -316,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler, report_keys=report_keys, grid="4096,8", seed=0)
         for space in spaces:
             p.add_argument(f"--{space}", help=space_help[space])
-        p.add_argument("--n", type=int, default=1, help="spatial dimension")
+        p.add_argument("--n", type=int, default=None,
+                       help="spatial dimension (default 1); a space's n= must agree")
         p.add_argument("--out", default=None, help="write the report to a file")
         p.add_argument("--format", default="json", choices=("json", "csv", "text"))
         return p
@@ -358,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args):
     """Check and resolve a parsed namespace in place; returns it."""
+    given_n, args.n = args.n, 1 if args.n is None else args.n
     args.N, args.L = parse_grid(args.grid)
     sampled = args.command == "covering" or (args.command == "normcalc" and not args.input)
     if sampled and args.n * math.log2(args.N) > math.log2(MAX_GRID_POINTS):
@@ -371,17 +369,21 @@ def config_from_args(args):
         args.c_small, args.c_big = float(parts[0]), float(parts[1])
         if not all(math.isfinite(c) and c > 0 for c in (args.c_small, args.c_big)):
             raise ParameterError("covering constants must be positive and finite")
-    spaces = [name for name in ("source", "target") if hasattr(args, name)]
-    for name in spaces:
-        text = getattr(args, name)
-        setattr(args, name, parse_space(text, args.n) if text else None)
-    # exact fields stay exact, but reports and sweeps convert them to floats
-    for space in filter(None, (getattr(args, name) for name in spaces)):
-        for name in ("rp", "rq", "s", "alpha"):
-            try:
+    # a space's n= must agree with an explicit --n; errors name the option
+    for option in [name for name in ("source", "target") if hasattr(args, name)]:
+        text, name = getattr(args, option), None
+        try:
+            space = parse_space(text, args.n) if text else None
+            if space and given_n is not None and space.n != given_n:
+                raise ParameterError(f"n={space.n} conflicts with --n {given_n}")
+            # exact fields stay exact, but reports and sweeps convert them to floats
+            for name in ("rp", "rq", "s", "alpha") if space else ():
                 float(getattr(space, name))
-            except OverflowError:
-                raise ParameterError(f"{name} must be finite as a float") from None
+        except OverflowError:
+            raise ParameterError(f"--{option}: {name} must be finite as a float") from None
+        except ParameterError as exc:
+            raise ParameterError(f"--{option}: {exc}") from None
+        setattr(args, option, space)
     if args.command == "covering":
         args.alpha = float(as_scalar(args.alpha))
     if args.command == "verify-asymptotics":

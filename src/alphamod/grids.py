@@ -21,6 +21,7 @@ import numpy as np
 from .covering import (
     Partition,
     PartitionMember,
+    _distances,
     bump_profile,
     ball_geometry,
     freq_grid,
@@ -184,23 +185,14 @@ def smoothness_weights(bases, s, alpha) -> np.ndarray:
 
 def weighted_lq(values, rq, weights=None) -> float:
     """l_q norm of weights * values (nonnegative), with 1/q = rq; rq = 0 is
-    the supremum.  No weights means unit weights."""
+    the supremum.  No weights means unit weights.  The power sum and its
+    rescaling on overflow or underflow are sample_lp's, with unit cells."""
     vals = np.asarray(values, dtype=float)
     if weights is not None:
         vals = np.asarray(weights) * vals
     if vals.size == 0:
         return 0.0
-    rq = float(rq)
-    if rq == 0.0:
-        return float(vals.max())
-    with np.errstate(over="ignore"):
-        total = np.sum(vals ** (1.0 / rq))
-    top = vals.max()
-    if (math.isinf(total) or total == 0.0) and top > 0.0 and np.isfinite(vals).all():
-        # the power sum overflowed, or underflowed to 0 for a nonzero
-        # sequence: sum the values over their maximum instead
-        return float(top * np.sum((vals / top) ** (1.0 / rq)) ** rq)
-    return float(total ** rq)
+    return float(sample_lp(vals, float(rq), 1.0))
 
 
 def sequence_norm(lam: dict, s, rq, alpha) -> float:
@@ -340,11 +332,16 @@ _WITNESS_PLATEAU_FRACTION = 0.25
 WITNESS_SAFETY = 0.85
 
 
-def witness_support_fraction(partition: Partition) -> float:
-    """Spectral support radius of witness bumps, as a fraction of the scale."""
-    if partition.covering is None:
-        raise ParameterError("witness bumps require an alpha < 1 covering")
-    return WITNESS_SAFETY * partition.covering.plateau_fraction(128)
+def witness_band(l: Index, alpha: float, covering, N: int, L: float) -> tuple:
+    """Centre, scale, support fraction (spectral support radius over scale)
+    and band limit |centre| + fraction * scale of the witness bump of window
+    l on an alpha < 1 covering; a band reaching N/(2L) raises TruncationError."""
+    frac = WITNESS_SAFETY * covering.plateau_fraction(128)
+    center, scale = ball_geometry(l, alpha)
+    creach = float(np.linalg.norm(np.atleast_1d(center))) + frac * scale
+    if creach >= N / (2.0 * L):
+        raise TruncationError("witness spectrum escapes the grid window")
+    return center, scale, frac, creach
 
 
 def witness_bump(l: Index, alpha, partition: Partition) -> GridFunction:
@@ -354,18 +351,11 @@ def witness_bump(l: Index, alpha, partition: Partition) -> GridFunction:
     alpha = float(alpha)
     if abs(partition.alpha - alpha) > 1e-12:
         raise ParameterError("partition does not match alpha")
-    frac = witness_support_fraction(partition)
-    center, scale = ball_geometry(l, alpha)
+    if partition.covering is None:
+        raise ParameterError("witness bumps require an alpha < 1 covering")
     n, N, L = partition.n, partition.N, partition.L
-    radius = frac * scale
-    creach = float(np.linalg.norm(np.atleast_1d(center))) + radius
-    if creach >= N / (2.0 * L):
-        raise TruncationError("witness spectrum escapes the grid window")
-    xi = freq_grid(n, N, L)
-    if n == 1:
-        u = np.abs(xi - center) / scale
-    else:
-        u = np.linalg.norm(xi - np.asarray(center), axis=-1) / scale
+    center, scale, frac, creach = witness_band(l, alpha, partition.covering, N, L)
+    u = _distances(freq_grid(n, N, L), center) / scale
     w_hat = bump_profile(u, _WITNESS_PLATEAU_FRACTION * frac, frac)
     return from_spectrum(w_hat.reshape(-1).astype(complex), n, N, L, band_limit=creach)
 

@@ -15,8 +15,11 @@ from alphamod.asymptotics import (
     coarse_norm_ratio_check,
     seq_multiplier_norm_bruteforce,
 )
+from alphamod import covering
+from alphamod.covering import CoveringSpec, build_partition, freq_axis, neighbor_set
 from alphamod.errors import DomainError, GeometryError, ParameterError
-from alphamod.grids import box_apply, from_spectrum, space_norm, witness_bump
+from alphamod.grids import (bump_train, localize, spectrum, spectrum_norm, witness_band,
+                            witness_bump)
 from alphamod.indices import SpaceParams, seq_multiplier_norm_closed
 
 
@@ -92,9 +95,11 @@ class TestLabPartitions:
         src, tgt = sp(1, 0, 0, 0), sp(0, 0, 0, Fraction(1, 3))
         l_fine = matched_fine_index(4, 0.0, 1 / 3)
         grid = plan_grid(src, tgt, 4, l_fine=l_fine)
+        box_opnorm_lower(4, src, tgt, grid)
         third = covering_for(CoveringSpec(alpha=1 / 3, n=1))
-        assert grid[float(tgt.alpha)].covering is third
-        assert grid[float(src.alpha)].covering is covering_for(CoveringSpec(alpha=0.0, n=1))
+        assert asymptotics.lab_covering(float(tgt.alpha)) is third
+        assert asymptotics.lab_covering(float(src.alpha)) is covering_for(
+            CoveringSpec(alpha=0.0, n=1))
         assert covering_for.cache_info().currsize == 2
 
     def test_partition_for_is_shared_and_cleared_alone(self):
@@ -209,19 +214,24 @@ class TestSpreadKernelBitIdentity:
         assert got == _reference_spread_ratio(k, src, tgt)
 
 
-def _round_trip_ratio(f, member, source, target, part1, part2):
-    """The ratio as it was measured before pieces were measured from their
-    spectra: the piece goes back to samples (box_apply) and each norm
-    transforms its function forward again."""
+def _partition_ratio(spec, band_limit, member, source, target, part1, part2):
+    """The ratio as it was measured on full lab partitions: the piece of
+    window member, measured on part2 in the target space, over spec measured
+    on part1 in the source space."""
     m1 = sp(source.rp, source.rq, 0, source.alpha)
     m2 = sp(target.rp, target.rq, 0, target.alpha)
-    return (space_norm(box_apply(f, member), m2, part2).value
-            / space_norm(f, m1, part1).value)
+    return (spectrum_norm(*localize(spec, member, band_limit), m2, part2).value
+            / spectrum_norm(spec, band_limit, m1, part1).value)
 
 
-# relative difference allowed between a ratio measured from spectra and the
-# same ratio measured through inverse/forward FFT round trips
-ROUND_TRIP_RTOL = 1e-12
+def _lab_partitions(grid, *alphas):
+    N, L = grid
+    return {x: build_partition(CoveringSpec(alpha=float(x), n=1), N=N, L=L) for x in alphas}
+
+
+# relative difference allowed between a ratio measured on band rows and the
+# same ratio measured on full lab partitions
+PARTITION_RTOL = 1e-12
 # the lab_sweep benchmark's growth pairs (p=1,q=2: alpha 0 -> 1/2; p=1,q=1,
 # alpha 1/2 -> p=2,q=1, alpha 0); its Monte Carlo op runs on the first
 LAB_PAIRS = [(sp(1, 0.5, 0, 0), sp(1, 0.5, 0, 0.5)),
@@ -229,42 +239,108 @@ LAB_PAIRS = [(sp(1, 0.5, 0, 0), sp(1, 0.5, 0, 0.5)),
 
 
 class TestSpectralRatios:
+    """Band-row ratios against the partition path they replace."""
+
     @pytest.mark.parametrize("pair", LAB_PAIRS)
     @pytest.mark.parametrize("j", [4, 6])
     def test_witness_ratios_near_round_trip(self, pair, j):
+        # each bump witness, built directly at the bins of its band, against
+        # full partitions at plan_grid's (N, L): on the same spectrum, and
+        # on the spectrum of the sampled witness (an FFT round trip)
         src, tgt = pair
         a1, a2 = float(src.alpha), float(tgt.alpha)
         a, b = min(a1, a2), max(a1, a2)
         k = asymptotics.anchor_for_octave(j, b)
         grid = plan_grid(src, tgt, k)
+        parts = _lab_partitions(grid, a, b)
         samples = box_opnorm_lower(k, src, tgt, grid)
-        witnesses = (witness_bump(asymptotics.matched_fine_index(k, a, b), a, grid[a]),
-                     witness_bump(k, b, grid[b]))
-        for sample, f in zip(samples, witnesses):
-            ref = _round_trip_ratio(f, grid[b].member(k), src, tgt, grid[a1], grid[a2])
-            assert sample.lower_bound == pytest.approx(ref, rel=ROUND_TRIP_RTOL, abs=0)
+        for sample, (l, alpha) in zip(samples, [(asymptotics.matched_fine_index(k, a, b), a),
+                                                (k, b)]):
+            f = witness_bump(l, alpha, parts[alpha])
+            center, scale, frac, _ = witness_band(l, alpha, parts[alpha].covering, *grid)
+            direct = bump_train(freq_axis(*grid), [(center, scale)], 0.0, frac)
+            for spec in (direct, spectrum(f)):
+                ref = _partition_ratio(spec, f.band_limit, parts[b].member(k), src, tgt,
+                                       parts[a1], parts[a2])
+                assert sample.lower_bound == pytest.approx(ref, rel=PARTITION_RTOL, abs=0)
+
+    # (pair, k, trials, seed); the lab clip to the safe radii fires at k = 8
+    TRIAL_CASES = [(LAB_PAIRS[0], 8, 16, 41), (LAB_PAIRS[0], 6, 8, 3),
+                   ((sp(1.0, 0.5, 0, 0), sp(0.5, 0.5, 0, 0.5)), 5, 6, 9)]
 
     def test_trial_ratios_near_round_trip(self, monkeypatch):
-        src, tgt = sp(1.0, 0.5, 0, 0), sp(0.5, 0.5, 0, 0.5)
-        grid = plan_grid(src, tgt, 5)
+        band_ratio = asymptotics._band_ratio
         measured = []
-        norm_ratio = asymptotics._norm_ratio
 
-        def recording(spec, band_limit, member, source, target, part1, part2):
-            value = norm_ratio(spec, band_limit, member, source, target, part1, part2)
-            measured.append((spec.copy(), band_limit, member, part1, part2, value))
+        def recording(k, source, target, spec, *rest):
+            value = band_ratio(k, source, target, spec, *rest)
+            measured.append((spec.copy(), value))
             return value
 
-        monkeypatch.setattr(asymptotics, "_norm_ratio", recording)
-        mc = box_opnorm_montecarlo(5, src, tgt, grid, trials=6, seed=9)
-        # the first two ratios are the witnesses' of box_opnorm_lower
-        trials = measured[2:]
-        assert len(trials) == 6
-        assert mc.lower_bound == max(value for *_, value in measured)
-        for spec, band_limit, member, part1, part2, value in trials:
-            f = from_spectrum(spec, 1, part1.N, part1.L, band_limit=band_limit)
-            ref = _round_trip_ratio(f, member, src, tgt, part1, part2)
-            assert value == pytest.approx(ref, rel=ROUND_TRIP_RTOL, abs=0)
+        monkeypatch.setattr(asymptotics, "_band_ratio", recording)
+        for (src, tgt), k, trials, seed in self.TRIAL_CASES:
+            a1, a2 = float(src.alpha), float(tgt.alpha)
+            b = max(a1, a2)
+            grid = plan_grid(src, tgt, k)
+            parts = _lab_partitions(grid, a1, a2)
+            best = max(s.lower_bound for s in box_opnorm_lower(k, src, tgt, grid))
+            measured.clear()
+            mc = box_opnorm_montecarlo(k, src, tgt, grid, trials=trials, seed=seed)
+            runs = measured[-trials:]
+            assert mc.lower_bound == max([best] + [value for _, value in runs])
+            # the random spectra fill the bins the partition path drew on:
+            # every usable window of the second neighbourhood, clipped inside
+            # the safe radii when the windows reach past them
+            part_b = parts[b]
+            drawn = np.zeros(grid[0], dtype=bool)
+            reach = 0.0
+            for l in neighbor_set("LambdaStar", k, b):
+                if l in part_b:
+                    m = part_b.member(l)
+                    drawn[m.idx] = True
+                    reach = max(reach, abs(m.center) + m.support_radius)
+            safe = min(p.safe_radius for p in parts.values())
+            if reach > safe:
+                drawn &= np.abs(freq_axis(*grid)) <= safe * 0.98
+            for spec, value in runs:
+                assert np.array_equal(spec != 0, drawn)
+                ref = _partition_ratio(spec, None, part_b.member(k), src, tgt,
+                                       parts[a1], parts[a2])
+                assert value == pytest.approx(ref, rel=PARTITION_RTOL, abs=0)
+
+
+class TestLabGeometry:
+    """The sweeps read the lab partitions' reach from covering geometry."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 1 / 3, 0.5, 0.75])
+    def test_safe_radius_matches_partition(self, alpha):
+        for N in (2 ** 10, 2 ** 13, 2 ** 16):
+            for L in (16.0, 24.7, 61.38):
+                k_usable, safe = asymptotics.lab_safe_radius(alpha, (N, L))
+                try:
+                    part = build_partition(CoveringSpec(alpha=alpha, n=1), N=N, L=L)
+                except GeometryError:
+                    # no window beyond the origin fits this grid
+                    assert k_usable == 0
+                    continue
+                assert (k_usable, safe) == (max(part.indices()), part.safe_radius)
+
+    def test_sweeps_build_no_partition(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return build_partition(*args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, "build_partition", counting)
+        monkeypatch.setattr(covering, "build_partition", counting)
+        asymptotics._partition_cache.clear()
+        src, tgt = LAB_PAIRS[0]
+        growth_rate_check(src, tgt, range(4, 8))
+        embedding_consistency_check(sp(1, 0, 0, 0), sp(0, 0, 0, 0.25), truncation=8)
+        k = asymptotics.anchor_for_octave(6, 0.5)
+        box_opnorm_montecarlo(k, src, tgt, plan_grid(src, tgt, k), trials=4)
+        assert built == []
 
 
 class TestMonteCarlo:

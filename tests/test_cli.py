@@ -357,6 +357,38 @@ class TestRejectedInputs:
         assert status == EXIT_CONFIG
         assert out == "" and message in err
 
+    @pytest.mark.parametrize("option, text, message", [
+        ("--source", "p=1/0,q=2,s=0,alpha=0", "--source: p: zero denominator in '1/0'"),
+        ("--target", "p=2,q=2,s=0,alpha=1/0", "--target: alpha: zero denominator in '1/0'"),
+        ("--source", "p=-2,q=2,s=0,alpha=0", "--source: p: Lebesgue exponent must be positive"),
+        ("--target", "p=2,rq=1/0,s=0,alpha=0", "--target: rq: zero denominator"),
+        ("--target", "p=2,q=2,s=0,alpha=0,n=x", "--target: n: invalid literal"),
+        ("--source", "p=2,q=2,s=0,alpha=2", "--source: alpha must lie in [0, 1]"),
+    ])
+    def test_field_errors_name_field_and_option(self, capsys, option, text, message):
+        other = "--target" if option == "--source" else "--source"
+        status, out, err = invoke(["decide", option, text, other, "p=2,q=2,s=0,alpha=0"],
+                                  capsys)
+        assert status == EXIT_CONFIG
+        assert out == "" and err.startswith(f"config error: {message}")
+
+    def test_explicit_n_conflicting_with_text(self, capsys):
+        source, target = "p=1,q=2,s=0,alpha=1/2,n=1", "p=2,q=2,s=0,alpha=0,n=1"
+        status, out, err = invoke(["decide", "--n", "2", "--source", source,
+                                   "--target", target], capsys)
+        assert status == EXIT_CONFIG
+        assert out == "" and err == "config error: --source: n=1 conflicts with --n 2\n"
+        # agreeing texts, and texts without n=, keep their meaning
+        for argv in (["--n", "1", "--source", source, "--target", target],
+                     ["--source", source, "--target", target],
+                     ["--n", "2", "--source", "p=1,q=2,s=0,alpha=1/2,n=2",
+                      "--target", "p=2,q=2,s=0,alpha=0"]):
+            status, out, _ = invoke(["decide", *argv], capsys)
+            assert status == EXIT_OK
+            report = json.loads(out)
+            assert report["config"]["n"] == report["config"]["source"]["n"]
+            assert report["config"]["target"]["n"] == report["config"]["n"]
+
     def test_covering_alpha_zero_denominator(self, capsys):
         status, out, err = invoke(["covering", "--alpha", "1/0", "--grid", "64,1"], capsys)
         assert status == EXIT_CONFIG

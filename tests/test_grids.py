@@ -38,8 +38,8 @@ from alphamod.grids import (
     spectrum,
     weighted_lq,
     window_lp_norms,
+    witness_band,
     witness_bump,
-    witness_support_fraction,
 )
 from alphamod.indices import SpaceParams
 
@@ -300,6 +300,30 @@ class TestSequenceNorm:
         got = sequence_norm({0: 1e-200, 1: 1e-200}, 0, Fraction(1, 2), 0)
         assert got == 1.4142135623730951e-200
         assert weighted_lq([0.0, 0.0], 0.5) == 0.0
+
+    def test_weighted_lq_keeps_its_bits(self):
+        # the power sum and its rescaling as weighted_lq summed them before
+        # it called sample_lp
+        def reference(vals, rq):
+            if vals.size == 0:
+                return 0.0
+            if rq == 0.0:
+                return float(vals.max())
+            total = np.sum(vals ** (1.0 / rq))
+            top = vals.max()
+            if (math.isinf(total) or total == 0.0) and top > 0.0:
+                return float(top * np.sum((vals / top) ** (1.0 / rq)) ** rq)
+            return float(total ** rq)
+
+        rng = np.random.default_rng(17)
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            for _ in range(2000):
+                size = int(rng.integers(0, 40))
+                vals = np.exp(rng.uniform(-1, 1, size) * rng.choice([1.0, 50.0, 400.0, 700.0]))
+                vals[rng.random(size) < 0.2] = 0.0
+                rq = float(rng.choice([0.0, 0.25, 0.5, 1.0, 2.0, 3.0]))
+                assert weighted_lq(vals, rq) == reference(vals, rq)
 
     def test_dyadic_telescoping_sup(self):
         lam = {j: 2.0 ** (-j) for j in range(11)}
@@ -644,7 +668,7 @@ class TestWitnessBump:
 def spread_train(members, part):
     """The witness bumps of the given windows of part, translated 8 bump
     widths apart and summed."""
-    frac = witness_support_fraction(part)
+    frac = witness_band(members[0], part.alpha, part.covering, part.N, part.L)[2]
     bumps = [ball_geometry(l, part.alpha) for l in members]
     pitch = 8.0 * max(1.0 / (frac * scale) for _, scale in bumps)
     reach = max(abs(center) + frac * scale for center, scale in bumps)

@@ -5,8 +5,10 @@
 Prints one line per named output of the checkout at ROOT: the exit code and
 the sha256 of stdout and stderr of each README command-line example and of
 a set of command lines that end in exit codes 2, 3 and 4 (plus the files the
-examples write), then two library checks and one round of each benchmark
-workload in ``ROOT/bench/workloads.py`` at seeds 41 and 3.  Two checkouts
+examples write), then two library checks, the witness samples and Monte Carlo
+estimates of the ``lab_sweep`` fixtures (floats in hex, so a rounding change
+shows which witness moved), and one round of each benchmark workload in
+``ROOT/bench/workloads.py`` at seeds 41 and 3.  Two checkouts
 whose outputs agree print the same lines, so a refactor is checked with
 
     diff <(python tools/output_hashes.py OLD) <(python tools/output_hashes.py NEW)
@@ -187,6 +189,38 @@ def library_lines(mods: dict) -> list:
     return [f"library {name} results={sha(canon(run()).encode())}" for name, run in checks]
 
 
+# octaves of the box_opnorm_lower lines; Monte Carlo windows of the first
+# growth pair (b = 1/2): the lab clip to the safe radius fires at k = 8
+SWEEP_OCTAVES = range(4, 9)
+MONTECARLO_WINDOWS = (8, 6)
+
+
+def sweep_lines(mods: dict) -> list:
+    import workloads
+
+    asymptotics, parse = mods["asymptotics"], mods["cli"].parse_space
+    pairs = [(parse(s), parse(t)) for s, t, _ in workloads.GROWTH_FIXTURES]
+    lines = []
+    for i, (src, tgt) in enumerate(pairs):
+        a, b = sorted((float(src.alpha), float(tgt.alpha)))
+        for j in SWEEP_OCTAVES:
+            k = asymptotics.anchor_for_octave(j, b)
+            grid = asymptotics.plan_grid(src, tgt, k,
+                                         l_fine=asymptotics.matched_fine_index(k, a, b))
+            samples = asymptotics.box_opnorm_lower(k, src, tgt, grid)
+            values = " ".join(f"{s.witness}={canon(s.lower_bound)}" for s in samples)
+            lines.append(f"sweep lower pair={i} j={j} k={k} {values}")
+    src, tgt = pairs[0]
+    for k in MONTECARLO_WINDOWS:
+        grid = asymptotics.plan_grid(src, tgt, k)
+        for seed in SEEDS:
+            mc = asymptotics.box_opnorm_montecarlo(k, src, tgt, grid,
+                                                   trials=workloads.MONTECARLO_TRIALS,
+                                                   seed=seed)
+            lines.append(f"sweep montecarlo k={k} seed={seed} {canon(mc.lower_bound)}")
+    return lines
+
+
 def workload_lines(mods: dict) -> list:
     import workloads
 
@@ -208,7 +242,7 @@ def main(argv=None) -> int:
         return 2
     root = os.path.abspath(args[0])
     mods = checkout_modules(root)
-    for line in cli_lines(root) + library_lines(mods) + workload_lines(mods):
+    for line in cli_lines(root) + library_lines(mods) + sweep_lines(mods) + workload_lines(mods):
         print(line, flush=True)
     return 0
 
