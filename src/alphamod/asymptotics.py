@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .covering import (Covering, CoveringSpec, Partition, ball_geometry,
-                       build_partition, covering_for, freq_axis, warp, warp_radius,
+                       build_partition, covering_for, freq_axis, warp,
                        window_base)
 from .errors import DomainError, GeometryError, ParameterError, TruncationError
 # box_apply and witness_bump are unused here; bench/spans.py traces them here too
@@ -139,12 +139,7 @@ def lab_safe_radius(alpha: float, grid: tuple) -> tuple:
     reaches N/(2L) is not usable, and the safe radius stops at its inner edge."""
     N, L = grid
     cov, nyquist = lab_covering(alpha), N / (2.0 * L)
-    # window k sits near k in warped coordinates, so the scan starts close
-    k = max(1, int(float(warp_radius(nyquist, cov.alpha)) - cov.r0) - 1)
-    while k > 1 and cov.support_outer_radius(k - 1) >= nyquist:
-        k -= 1
-    while cov.support_outer_radius(k) < nyquist:
-        k += 1
+    k = cov.first_reaching(nyquist)
     return k - 1, min(cov.support_interval(k)[0], nyquist)
 
 
@@ -231,17 +226,23 @@ def _band_ratio(k: int, source: SpaceParams, target: SpaceParams, spec: np.ndarr
     return num / den
 
 
+def _safe_radii(source: SpaceParams, target: SpaceParams, grid: tuple) -> dict:
+    """lab_safe_radius(alpha, grid) of the source's and the target's alpha, by alpha."""
+    return {x: lab_safe_radius(x, grid) for x in {float(source.alpha), float(target.alpha)}}
+
+
 def _bump_ratio(l: int, alpha: float, k: int, source: SpaceParams, target: SpaceParams,
-                grid: tuple) -> float:
+                grid: tuple, radii: dict) -> float:
     """_band_ratio of the bump witness of window l of lab_covering(alpha): one
-    bump profile dilated and centred to the window, at the bins of its band."""
+    bump profile dilated and centred to the window, at the bins of its band;
+    radii are the _safe_radii of the two spaces on the grid."""
     N, L = grid
     b = max(float(source.alpha), float(target.alpha))
     center, scale, frac, creach = witness_band(l, alpha, lab_covering(alpha), N, L)
     # the band of the piece on the target covering, the witness's on the source's
     piece = min(creach, lab_covering(b).support_outer_radius(k))
     for limit, side in ((piece, target), (creach, source)):
-        safe = lab_safe_radius(side.alpha, grid)[1]
+        safe = radii[float(side.alpha)][1]
         if limit > safe:
             raise TruncationError(f"declared band limit {limit} exceeds safe radius {safe}")
     pos, xi = _band_bins(center - frac * scale, center + frac * scale, grid)
@@ -317,10 +318,11 @@ def box_opnorm_lower(k: int, source: SpaceParams, target: SpaceParams,
     grid (skipped when no window is absorbed or the budget is too small)."""
     if float(target.rp) > float(source.rp):
         raise ParameterError("lower-bound sweeps require 1/p2 <= 1/p1")
+    radii = _safe_radii(source, target, grid)
     a, b = sorted((float(source.alpha), float(target.alpha)))
     eff = eff_logscale(k, b)
-    ratios = (_bump_ratio(matched_fine_index(k, a, b), a, k, source, target, grid),
-              _bump_ratio(k, b, k, source, target, grid),
+    ratios = (_bump_ratio(matched_fine_index(k, a, b), a, k, source, target, grid, radii),
+              _bump_ratio(k, b, k, source, target, grid, radii),
               _spread_ratio(k, source, target))
     return [OpNormSample(j=int(round(eff)), k=k, witness=label, lower_bound=value,
                          eff_logscale=eff)
@@ -344,9 +346,9 @@ def box_opnorm_montecarlo(k: int, source: SpaceParams, target: SpaceParams,
     from .covering import neighbor_set
 
     N, L = grid
+    radii = _safe_radii(source, target, grid)
     cov_b = lab_covering(b)
-    star = [l for l in sorted(neighbor_set("LambdaStar", k, b))
-            if abs(l) <= lab_safe_radius(b, grid)[0]]
+    star = [l for l in sorted(neighbor_set("LambdaStar", k, b)) if abs(l) <= radii[b][0]]
     pos, xi = _band_bins(cov_b.support_interval(star[0])[0],
                          cov_b.support_interval(star[-1])[1], grid)
     windows = [_packed_windows(x, xi, pos) for x in (a2, a1)]
@@ -354,7 +356,7 @@ def box_opnorm_montecarlo(k: int, source: SpaceParams, target: SpaceParams,
     drawn = np.unique(np.concatenate([bins[offsets[i]:offsets[i + 1]]
                                       for i, l in enumerate(ks) if l in star]))
     reach = max(cov_b.support_outer_radius(l) for l in star)
-    safe = min(lab_safe_radius(x, grid)[1] for x in (a1, a2))
+    safe = min(radii[x][1] for x in (a1, a2))
     if reach > safe:
         drawn = drawn[np.abs(freq_axis(N, L)[drawn]) <= safe * 0.98]
 
@@ -541,7 +543,8 @@ def embedding_consistency_check(source: SpaceParams, target: SpaceParams,
             raise GeometryError("budget too small for the base grid")
         if grid is None:
             break
-        lower[k] = (_bump_ratio(0, b, 0, source, target, grid) if k == 0 else
+        lower[k] = (_bump_ratio(0, b, 0, source, target, grid,
+                                _safe_radii(source, target, grid)) if k == 0 else
                     max(s.lower_bound for s in box_opnorm_lower(k, source, target, grid)))
     k_avail = max(lower)
     if k_avail < 4:

@@ -280,6 +280,24 @@ class Covering:
         y = np.asarray(self.lattice_image(k), dtype=float)
         return warp_radius_inv(float(np.linalg.norm(y)) + self.r0, self.alpha)
 
+    def axis_window(self, k: int) -> Index:
+        """Index of window k on the first axis: k, or (k, 0) for n = 2."""
+        return k if self.n == 1 else (k,) + (0,) * (self.n - 1)
+
+    def first_reaching(self, radius: float) -> int:
+        """Least k >= 1 whose window on the first axis has a support
+        reaching radius (support_outer_radius >= radius).  Window k sits
+        near k in warped coordinates, so the scan starts there."""
+        def reaches(k):
+            return self.support_outer_radius(self.axis_window(k)) >= radius
+
+        k = max(1, int(radius * math.hypot(1.0, radius) ** -self.alpha - self.r0) - 1)
+        while k > 1 and reaches(k - 1):
+            k -= 1
+        while not reaches(k):
+            k += 1
+        return k
+
     def inscribed_plateau_radius(self, k: Index) -> float:
         """Largest ball about the window center on which the window is 1."""
         if self.n == 1:
@@ -312,26 +330,41 @@ class Covering:
         """Yield eta_k^alpha at xi for each k in ks (n = 1): the window
         profile divided by the full lattice sum of profiles reaching xi.
 
-        The lattice sum of profiles is formed once for all of ks; each
-        window's profile is evaluated again when it is yielded, so memory
-        stays at a few rows of len(xi) however many windows are asked for.
+        The lattice sum of profiles is formed once for all of ks, and it
+        keeps the nonzero positions and values of each requested window's
+        profile, so no profile is evaluated twice and no dense row is
+        kept; each yielded row is dense.
         """
         if self.n != 1:
             raise ParameterError("pointwise window evaluation is one-dimensional")
+        ks = list(ks)
         xi = np.asarray(xi, dtype=float)
         y = warp(xi, self.alpha, 1)
         l_lo = int(math.floor(float(y.min()) - self.r0)) - 1
         l_hi = int(math.ceil(float(y.max()) + self.r0)) + 1
+        wanted = set(ks)
         total = np.zeros_like(y)
+        kept = {}
         for l in range(l_lo, l_hi + 1):
-            total += self._profile_at(l, y)
+            profile = self._profile_at(l, y)
+            total += profile
+            if l in wanted:
+                kept[l] = _nonzero(profile)
         floor = np.maximum(total, 1e-300)
         for k in ks:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                yield np.where(total > 0, self._profile_at(k, y) / floor, 0.0)
+            at, values = kept[k] if k in kept else _nonzero(self._profile_at(k, y))
+            row = np.zeros_like(y)
+            row[at] = values / floor[at]
+            yield row
 
     def _profile_at(self, k: int, y: np.ndarray) -> np.ndarray:
         return bump_profile(np.abs(y - float(self.lattice_image(k))), self.delta, self.r0)
+
+
+def _nonzero(row: np.ndarray) -> tuple:
+    """Positions and values of the nonzero entries of row."""
+    at = np.flatnonzero(row)
+    return at, row[at]
 
 
 def _signed_unwarp(y: float, alpha: float) -> float:
@@ -574,11 +607,26 @@ def _build_alpha(cov: Covering, spec: CoveringSpec, N: int, L: float) -> Partiti
         yn = _norm(yk)
         return yk, yn, warp_radius_inv(max(yn - r0, 0.0), alpha), warp_radius_inv(yn + r0, alpha)
 
-    k_fit = 0
-    while radii(k_fit + 1 if n == 1 else (k_fit + 1, 0))[3] < f_nyq:
-        k_fit += 1
-    if spec.k_max is not None:
-        k_fit = min(k_fit, spec.k_max)
+    def usable(k):
+        # window k of the first axis lies inside the Nyquist band; one
+        # centred beyond float range lies beyond it
+        try:
+            return cov.support_outer_radius(cov.axis_window(k)) < f_nyq
+        except DomainError:
+            return False
+
+    # windows 1 to `crowd` of the first axis lie where the first coordinate
+    # is positive: (N/2 - 1) N^(n-1) bins, each inside at most two of them
+    crowd = max(N - 2, 0) * N ** (n - 1) + 1
+    k_max = spec.k_max
+    if (k_max is None or k_max >= crowd) and usable(crowd):
+        raise GeometryError(
+            f"a window of 1 to {crowd} on the first axis holds no grid bin: frequency "
+            f"spacing {1.0 / L:g} is too coarse for alpha = {alpha:g}")
+    if k_max is not None and (k_max < 1 or usable(k_max)):
+        k_fit = k_max
+    else:
+        k_fit = cov.first_reaching(f_nyq) - 1
     if k_fit < 1:
         raise GeometryError("grid too small to hold any window beyond the origin")
     y = warp(freq_grid(n, N, L), alpha, n)

@@ -233,7 +233,8 @@ def _live_windows(spec_flat: np.ndarray, bins: np.ndarray, offsets: np.ndarray) 
     return filled[local_max > 1e-16 * peak]
 
 
-# complex points per inverse-FFT block of window_lp_norms (512 KB)
+# points per block of window_lp_norms: complex samples of the inverse FFTs
+# (512 KB), or float magnitudes at p = 2
 BLOCK_POINTS = 2 ** 15
 
 
@@ -245,10 +246,18 @@ def window_lp_norms(spec_flat: np.ndarray, bins: np.ndarray, samples: np.ndarray
     spectrum positions bins[offsets[i]:offsets[i + 1]] with the values
     samples[offsets[i]:offsets[i + 1]], on the grid (n, N, L).  Live
     windows are filled into the rows of one block of at most BLOCK_POINTS
-    points (one row at least), which goes through one in-place inverse FFT
-    per block; sample_lp then reduces each row.  Negligible and empty
-    windows are 0.  The values equal those of one transform per window bit
-    for bit, which tests/test_grids.py::TestKernelBitIdentity guards.
+    points (one row at least), and sample_lp reduces each row.  Negligible
+    and empty windows are 0.
+
+    At p = 2 (rp = 1/2) Plancherel holds on the grid:
+    sum_x |f(x)|^2 (L/N)^n = L^-n sum_k |piece_k|^2, so the rows hold the
+    magnitudes of each window's piece on its own bins, zero-padded to the
+    widest live window, with no transform; the values agree with the
+    inverse-FFT samples to 1e-14 relative.  At every other p each row is
+    the window's piece on the whole grid, and each block goes through one
+    in-place inverse FFT; the values equal those of one transform per
+    window bit for bit.  tests/test_grids.py::TestKernelBitIdentity guards
+    both.
     """
     n, N, L = grid
     rp = float(rp)
@@ -257,6 +266,20 @@ def window_lp_norms(spec_flat: np.ndarray, bins: np.ndarray, samples: np.ndarray
     if live.size == 0:
         return out
     pieces = spec_flat[bins] * samples
+    if rp == 0.5:
+        width = int(np.max(offsets[live + 1] - offsets[live]))
+        rows = min(live.size, max(1, BLOCK_POINTS // width))
+        mag = np.empty((rows, width))
+        cell_volume = float(L) ** -n
+        for start in range(0, live.size, rows):
+            ids = live[start:start + rows]
+            used = mag[:ids.size]
+            used[...] = 0.0
+            for r, i in enumerate(ids.tolist()):
+                lo, hi = offsets[i], offsets[i + 1]
+                np.abs(pieces[lo:hi], out=used[r, :hi - lo])
+            out[ids] = sample_lp(used, rp, cell_volume)
+        return out
     size = N ** n
     rows = min(live.size, max(1, BLOCK_POINTS // size))
     block = np.empty((rows,) + (N,) * n, dtype=complex)
@@ -385,8 +408,10 @@ def builtin_function(name: str, n: int, N: int, L: float) -> GridFunction:
     else:
         gx, gy = np.meshgrid(x, x, indexing="ij")
         grids = (gx, gy)
-    r2 = sum(g * g for g in grids)
     if name == "gaussian":
+        # on a huge period the squares overflow to inf, where exp gives 0
+        with np.errstate(over="ignore"):
+            r2 = sum(g * g for g in grids)
         return GridFunction(n, N, L, np.exp(-math.pi * r2).astype(complex))
     if name == "bump":
         spec = bump_profile(freq_radius(n, N, L), 0.5, 1.0).astype(complex)

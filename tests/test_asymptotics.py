@@ -196,8 +196,14 @@ def _reference_spread_ratio(k, source, target):
     return value
 
 
+# relative difference allowed between a ratio with a p = 2 side, whose
+# pieces the kernel measures by Plancherel, and the dense loop's
+PLANCHEREL_RTOL = 1e-14
+
+
 class TestSpreadKernelBitIdentity:
-    """The spread witness equals the old dense per-window loop bit for bit."""
+    """The spread witness equals the old dense per-window loop bit for bit,
+    or within PLANCHEREL_RTOL when a side has p = 2."""
 
     @pytest.mark.parametrize("pair", [
         (sp(1, 0.5, 0, 0), sp(1, 0.5, 0, 0.5)),              # LE branch
@@ -211,7 +217,11 @@ class TestSpreadKernelBitIdentity:
         k = asymptotics.anchor_for_octave(j, b)
         got = asymptotics._spread_ratio(k, src, tgt)
         assert got is not None
-        assert got == _reference_spread_ratio(k, src, tgt)
+        want = _reference_spread_ratio(k, src, tgt)
+        if 0.5 in (float(src.rp), float(tgt.rp)):
+            assert got == pytest.approx(want, rel=PLANCHEREL_RTOL, abs=0)
+        else:
+            assert got == want
 
 
 def _partition_ratio(spec, band_limit, member, source, target, part1, part2):

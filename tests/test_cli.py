@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -313,6 +316,21 @@ class TestExitCodes:
                                    "--grid", "64,0.5"], capsys)
         assert status == EXIT_INTERNAL
         assert out == "" and "holds no grid bin" in err
+
+    @pytest.mark.parametrize("period, message", [("1e-300", "holds no grid bin"),
+                                                 ("1e-8", "holds no grid bin"),
+                                                 ("1e308", "grid too small")])
+    def test_extreme_grid_period_ends_at_once(self, period, message):
+        # a tiny period leaves the windows between bins, a huge one leaves no
+        # window beyond the origin; neither walks the windows up to Nyquist
+        # (a separate process, stopped after 5 s), and warnings are errors
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "alphamod.cli",
+                               "normcalc", "--source", "p=2,q=2,s=0,alpha=0.5",
+                               "--builtin", "bump", "--grid", f"2048,{period}"],
+                              env=env, capture_output=True, text=True, timeout=5)
+        assert proc.returncode == EXIT_INTERNAL
+        assert proc.stdout == "" and message in proc.stderr
 
     @pytest.mark.parametrize("n", ["1", "2"])
     def test_grid_too_small_for_first_window(self, capsys, n):

@@ -1,6 +1,7 @@
 """Covering geometry, partition-of-unity construction, and index sets."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -286,6 +287,41 @@ class TestBuilderBitIdentity:
             got = build_partition(spec, *grid)
             for m, r in zip(got.members, full[0].members):
                 assert np.all(r.values[~np.isin(r.idx, m.idx)] == 0.0)
+
+
+class TestUsableWindows:
+    """How far the usable windows reach is found near the Nyquist frequency,
+    and a grid whose bins cannot serve them all is rejected before any
+    window is sampled."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 1 / 3, 0.5, 0.75])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_first_reaching_matches_upward_scan(self, alpha, n):
+        cov = covering_for(CoveringSpec(alpha=alpha, n=n))
+        for radius in (0.5, 3.0, 17.3, 256.0, 4096.0, 1e5):
+            k = 1
+            while cov.support_outer_radius(cov.axis_window(k)) < radius:
+                k += 1
+            assert cov.first_reaching(radius) == k
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("n, N", [(1, 2048), (2, 64)])
+    @pytest.mark.parametrize("L", [1e-8, 1e-300])
+    def test_bins_too_few_for_the_windows(self, alpha, n, N, L):
+        crowd = (N - 2) * N ** (n - 1) + 1
+        start = time.perf_counter()
+        with pytest.raises(GeometryError, match=f"a window of 1 to {crowd} .* holds no grid bin"):
+            build_partition(CoveringSpec(alpha=alpha, n=n), N=N, L=L)
+        assert time.perf_counter() - start < 1.0
+
+    def test_as_many_windows_as_bins_serve(self):
+        # spacing 2: windows 1 to 63 in (0, 64) share the 31 positive bins
+        with pytest.raises(GeometryError, match="a window of 1 to 63 on the first axis"):
+            build_partition(CoveringSpec(alpha=0.0, n=1), N=64, L=0.5)
+        # with k_max below that count the windows are sampled, and the first
+        # empty one in lattice order is named
+        with pytest.raises(GeometryError, match="window -61 holds no grid bin"):
+            build_partition(CoveringSpec(alpha=0.0, n=1, k_max=62), N=64, L=0.5)
 
 
 class TestSharedCovering:

@@ -5,10 +5,11 @@
 Prints one line per named output of the checkout at ROOT: the exit code and
 the sha256 of stdout and stderr of each README command-line example and of
 a set of command lines that end in exit codes 2, 3 and 4 (plus the files the
-examples write), then two library checks, the witness samples and Monte Carlo
-estimates of the ``lab_sweep`` fixtures (floats in hex, so a rounding change
-shows which witness moved), and one round of each benchmark workload in
-``ROOT/bench/workloads.py`` at seeds 41 and 3.  Two checkouts
+examples write), then two library checks, the per-window ``space_norm`` pieces
+at p = 2, 1 and inf on a 1-D and a 2-D partition, the witness samples and
+Monte Carlo estimates of the ``lab_sweep`` fixtures (floats in hex, so a
+rounding change shows which window or witness moved), and one round of each
+benchmark workload in ``ROOT/bench/workloads.py`` at seeds 41 and 3.  Two checkouts
 whose outputs agree print the same lines, so a refactor is checked with
 
     diff <(python tools/output_hashes.py OLD) <(python tools/output_hashes.py NEW)
@@ -189,6 +190,27 @@ def library_lines(mods: dict) -> list:
     return [f"library {name} results={sha(canon(run()).encode())}" for name, run in checks]
 
 
+# partitions of the norm pieces lines, (alpha, n, N, L), 9 windows each; the
+# function is random, band-limited to 0.9 of the safe radius
+NORM_PARTITIONS = [(0.5, 1, 256, 4.0), (0.5, 2, 32, 2.0)]
+NORM_EXPONENTS = (("2", 0.5), ("1", 1.0), ("inf", 0.0))
+
+
+def norm_lines(mods: dict) -> list:
+    covering, grids = mods["covering"], mods["grids"]
+    lines = []
+    for alpha, n, N, L in NORM_PARTITIONS:
+        part = covering.build_partition(covering.CoveringSpec(alpha=alpha, n=n), N=N, L=L)
+        f = grids.random_band_limited(n, N, L, 0.9 * part.safe_radius,
+                                      np.random.default_rng(7))
+        for name, rp in NORM_EXPONENTS:
+            params = mods["indices"].SpaceParams(rp=rp, rq=1.0, s=0.0, alpha=alpha, n=n)
+            pieces = grids.space_norm(f, params, part).pieces
+            text = " ".join(f"{canon(k)}={canon(v)}" for k, v in pieces.items())
+            lines.append(f"norm pieces n={n} alpha={alpha} p={name} {text}")
+    return lines
+
+
 # octaves of the box_opnorm_lower lines; Monte Carlo windows of the first
 # growth pair (b = 1/2): the lab clip to the safe radius fires at k = 8
 SWEEP_OCTAVES = range(4, 9)
@@ -242,7 +264,9 @@ def main(argv=None) -> int:
         return 2
     root = os.path.abspath(args[0])
     mods = checkout_modules(root)
-    for line in cli_lines(root) + library_lines(mods) + sweep_lines(mods) + workload_lines(mods):
+    lines = (cli_lines(root) + library_lines(mods) + norm_lines(mods) + sweep_lines(mods)
+             + workload_lines(mods))
+    for line in lines:
         print(line, flush=True)
     return 0
 
