@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .covering import (Covering, CoveringSpec, Partition, ball_geometry,
-                       build_partition, covering_for, freq_axis, warp,
+                       build_partition, covering_for, freq_axis, grid_span, warp,
                        window_base)
 from .errors import DomainError, GeometryError, ParameterError, TruncationError
 # box_apply and witness_bump are unused here; bench/spans.py traces them here too
@@ -179,31 +179,20 @@ def plan_grid(source: SpaceParams, target: SpaceParams, k: int, *,
     return None
 
 
-def _band_bins(lo: float, hi: float, grid: tuple) -> tuple:
-    """fft-layout positions and frequencies of the bins of the grid (N, L) in
-    [lo, hi], and one more on each side inside the Nyquist band."""
-    N, L = grid
-    pos = np.arange(max(math.floor(lo * L) - 1, -(N // 2)),
-                    min(math.ceil(hi * L) + 1, N // 2 - 1) + 1) % N
-    return pos, freq_axis(N, L)[pos]
-
-
-def _packed_windows(alpha: float, xi: np.ndarray, pos: np.ndarray, ks=None) -> tuple:
-    """(ks, (bins, samples, offsets)): windows ks of lab_covering(alpha), by
-    default those meeting the ascending frequencies xi, sampled at xi and
-    packed for window_lp_norms at the spectrum positions pos."""
+def _packed_windows(alpha: float, grid: tuple, span: tuple, shift: float = 0.0,
+                    ks=None) -> tuple:
+    """(ks, (bins, samples, offsets)): windows ks of lab_covering(alpha),
+    ascending, by default those meeting the segment span of the grid (N, L)
+    shifted by shift (see Covering.sample_windows), sampled on that segment."""
     cov = lab_covering(alpha)
-    if ks is None:
-        y_lo, y_hi = (float(y) for y in warp(xi[[0, -1]], cov.alpha) + [-cov.r0, cov.r0])
-        ks = [l for l in range(math.floor(y_lo) - 1, math.ceil(y_hi) + 2)
-              if y_lo < cov.lattice_image(l) < y_hi]
-    bins, samples, offsets = [], [], [0]
-    for row in cov.normalized_windows(ks, xi):
-        at = np.flatnonzero(row)
-        bins.append(pos[at])
-        samples.append(row[at])
-        offsets.append(offsets[-1] + at.size)
-    return list(ks), (np.concatenate(bins), np.concatenate(samples), np.array(offsets))
+    N, L = grid
+    xi = freq_axis(N, L)[np.arange(span[0], span[1] + 1) % N] + shift
+    y_lo, y_hi = (float(y) for y in warp(np.array([xi.min(), xi.max()]), cov.alpha)
+                  + [-cov.r0, cov.r0])
+    meeting = [l for l in range(math.floor(y_lo) - 1, math.ceil(y_hi) + 2)
+               if y_lo < cov.lattice_image(l) < y_hi]
+    ks = meeting if ks is None else list(ks)
+    return ks, cov.sample_windows(ks, sorted(set(meeting).union(ks)), grid, span, shift)[0]
 
 
 def _band_ratio(k: int, source: SpaceParams, target: SpaceParams, spec: np.ndarray,
@@ -245,11 +234,12 @@ def _bump_ratio(l: int, alpha: float, k: int, source: SpaceParams, target: Space
         safe = radii[float(side.alpha)][1]
         if limit > safe:
             raise TruncationError(f"declared band limit {limit} exceeds safe radius {safe}")
-    pos, xi = _band_bins(center - frac * scale, center + frac * scale, grid)
+    span = grid_span(center - frac * scale, center + frac * scale, N, L)
+    pos = np.arange(span[0], span[1] + 1) % N
     spec = np.zeros(N, dtype=complex)
-    spec[pos] = bump_train(xi, [(center, scale)], 0.0, frac)
-    return _band_ratio(k, source, target, spec, grid, _packed_windows(target.alpha, xi, pos),
-                       _packed_windows(source.alpha, xi, pos))
+    spec[pos] = bump_train(freq_axis(N, L)[pos], [(center, scale)], 0.0, frac)
+    return _band_ratio(k, source, target, spec, grid, _packed_windows(target.alpha, grid, span),
+                       _packed_windows(source.alpha, grid, span))
 
 
 def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams) -> Optional[float]:
@@ -259,8 +249,8 @@ def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams) -> Optional[
     The witness is a bandpass signal: its spectrum sits inside the plateau
     of the anchor window, so shifting frequencies by the anchor center
     leaves every L^p magnitude unchanged while shrinking the Nyquist band
-    to the plateau width.  Covering windows are sampled pointwise at the
-    shifted frequencies, and their pieces measured by window_lp_norms.
+    to the plateau width.  Covering windows are sampled on the shifted
+    grid, and their pieces measured by window_lp_norms.
     """
     from .covering import neighbor_set
 
@@ -292,10 +282,11 @@ def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams) -> Optional[
         N = _next_pow2(2.0 * L * band)
         if N > DEFAULT_BUDGET:
             return None
-        xi, pos = np.fft.fftfreq(N, d=L / N) + c_ref, np.arange(N)
-        spec = bump_train(xi, [geo[l] for l in members], pitch, frac)
+        # the whole grid in fft layout, shifted by the anchor centre
+        spec = bump_train(freq_axis(N, L) + c_ref, [geo[l] for l in members], pitch, frac)
         return _band_ratio(k, source, target, spec, (N, L),
-                           *(_packed_windows(x, xi, pos, ks) for x, ks in windows))
+                           *(_packed_windows(x, (N, L), (0, N - 1), c_ref, ks)
+                             for x, ks in windows))
 
     value = measure(3.0)
     value = measure(2.0) if value is None else value
@@ -349,9 +340,9 @@ def box_opnorm_montecarlo(k: int, source: SpaceParams, target: SpaceParams,
     radii = _safe_radii(source, target, grid)
     cov_b = lab_covering(b)
     star = [l for l in sorted(neighbor_set("LambdaStar", k, b)) if abs(l) <= radii[b][0]]
-    pos, xi = _band_bins(cov_b.support_interval(star[0])[0],
-                         cov_b.support_interval(star[-1])[1], grid)
-    windows = [_packed_windows(x, xi, pos) for x in (a2, a1)]
+    span = grid_span(cov_b.support_interval(star[0])[0],
+                     cov_b.support_interval(star[-1])[1], N, L)
+    windows = [_packed_windows(x, grid, span) for x in (a2, a1)]
     ks, (bins, _, offsets) = windows[0] if a2 >= a1 else windows[1]
     drawn = np.unique(np.concatenate([bins[offsets[i]:offsets[i + 1]]
                                       for i, l in enumerate(ks) if l in star]))

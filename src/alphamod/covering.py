@@ -7,10 +7,11 @@ coordinates y = psi(xi) = xi <xi>^{-alpha}, where the covering becomes a
 perturbed unit lattice; this makes the partition-of-unity, support and
 plateau properties exact by construction and uniform in k, with constants
 resolved per alpha from the measured minimal lattice gap and validated at
-build time.  One builder serves n = 1 and n = 2: it warps the grid once,
-takes each window's candidate bins from a per-axis box that holds its
-support, keeps the bins of positive value, and checks the window sum and
-every usable window's bins in both dimensions.
+build time.  One sampler (Covering.sample_windows) serves partitions and
+the sweeps' bands: it evaluates each profile only on the bins of a per-axis
+box that holds its support and returns the windows packed.  One builder
+serves n = 1 and n = 2 around it and checks the window sum and every
+usable window's bins.
 
 alpha = 1 uses the dyadic annuli of the classical Littlewood-Paley
 decomposition instead (a radial bump equal to 1 on |xi| <= 4/3 and
@@ -203,8 +204,9 @@ class Covering:
                 f"widens the plateau where the windows still cover")
         if not spec.c_small < self.r0:
             raise CoveringError("c_small must stay below the support radius c_big")
-        # memo of plateau_fraction by probe
+        # memos of plateau_fraction by probe and of window_radii by window
         self._plateau_fractions = {}
+        self._radii = {}
 
     # -- lattice geometry -------------------------------------------------
 
@@ -277,8 +279,7 @@ class Covering:
 
     def support_outer_radius(self, k: Index) -> float:
         """Radius about the origin containing the window support."""
-        y = np.asarray(self.lattice_image(k), dtype=float)
-        return warp_radius_inv(float(np.linalg.norm(y)) + self.r0, self.alpha)
+        return self.window_radii(k)[3]
 
     def axis_window(self, k: int) -> Index:
         """Index of window k on the first axis: k, or (k, 0) for n = 2."""
@@ -304,13 +305,10 @@ class Covering:
             lo, hi = self.plateau_interval(int(k))
             c, _ = ball_geometry(int(k), self.alpha)
             return min(c - lo, hi - c)
-        y = np.asarray(self.lattice_image(k), dtype=float)
-        c, _ = ball_geometry(k, self.alpha)
-        c = np.asarray(c, dtype=float)
-        yn = float(np.linalg.norm(y))
+        yn = self.window_radii(k)[1]
+        cn = _norm(ball_geometry(k, self.alpha)[0])
         inner = warp_radius_inv(max(yn - self.delta, 0.0), self.alpha)
         outer = warp_radius_inv(yn + self.delta, self.alpha)
-        cn = float(np.linalg.norm(c))
         return max(min(outer - cn, cn - inner) if yn > self.delta else outer - cn, 0.0)
 
     def plateau_fraction(self, k_probe: int) -> float:
@@ -326,45 +324,60 @@ class Covering:
         self._plateau_fractions[k_probe] = frac
         return frac
 
-    def normalized_windows(self, ks, xi: np.ndarray):
-        """Yield eta_k^alpha at xi for each k in ks (n = 1): the window
-        profile divided by the full lattice sum of profiles reaching xi.
+    def window_radii(self, k: Index) -> tuple:
+        """Warped centre of window k, its norm, and the radii about the
+        origin between which its support lies; memoised."""
+        radii = self._radii.get(k)
+        if radii is None:
+            yk = self.lattice_image(k)
+            yn = _norm(yk)
+            radii = self._radii[k] = (yk, yn, warp_radius_inv(max(yn - self.r0, 0.0), self.alpha),
+                                      warp_radius_inv(yn + self.r0, self.alpha))
+        return radii
 
-        The lattice sum of profiles is formed once for all of ks, and it
-        keeps the nonzero positions and values of each requested window's
-        profile, so no profile is evaluated twice and no dense row is
-        kept; each yielded row is dense.
+    def sample_windows(self, ks, summed, grid: tuple, span: tuple, shift: float = 0.0) -> tuple:
+        """The windows eta_k = phi_k / sum_{l in summed} phi_l, k in ks (a
+        subsequence of summed), on the bins m of span = (first, last), at
+        most N, on every axis of the grid (N, L); bin m sits at frequency
+        freq_axis(N, L)[m % N] + shift.  Each profile is evaluated only on
+        the bins of a per-axis box holding its support.
+
+        Returns ((bins, samples, offsets), total): window ks[i] holds the
+        fft-layout positions bins[offsets[i]:offsets[i + 1]] in ascending m
+        (flat order on two axes); total is the lattice sum on all N^n bins.
         """
-        if self.n != 1:
-            raise ParameterError("pointwise window evaluation is one-dimensional")
-        ks = list(ks)
-        xi = np.asarray(xi, dtype=float)
-        y = warp(xi, self.alpha, 1)
-        l_lo = int(math.floor(float(y.min()) - self.r0)) - 1
-        l_hi = int(math.ceil(float(y.max()) + self.r0)) + 1
-        wanted = set(ks)
-        total = np.zeros_like(y)
-        kept = {}
-        for l in range(l_lo, l_hi + 1):
-            profile = self._profile_at(l, y)
-            total += profile
-            if l in wanted:
-                kept[l] = _nonzero(profile)
-        floor = np.maximum(total, 1e-300)
-        for k in ks:
-            at, values = kept[k] if k in kept else _nonzero(self._profile_at(k, y))
-            row = np.zeros_like(y)
-            row[at] = values / floor[at]
-            yield row
-
-    def _profile_at(self, k: int, y: np.ndarray) -> np.ndarray:
-        return bump_profile(np.abs(y - float(self.lattice_image(k))), self.delta, self.r0)
-
-
-def _nonzero(row: np.ndarray) -> tuple:
-    """Positions and values of the nonzero entries of row."""
-    at = np.flatnonzero(row)
-    return at, row[at]
+        N, L = grid
+        n, r0 = self.n, self.r0
+        freq = freq_axis(N, L) + shift
+        coords = freq if n == 1 else freq_grid(n, N, L).reshape(N ** n, n) + shift
+        total = np.zeros(N ** n)
+        wanted, rows = set(ks), []
+        for k in summed:
+            yk, yn, inner, outer = self.window_radii(k)
+            # xi = y t(|y|) with t increasing, so each axis of the support lies
+            # between the ball's axis extremes times t at the extremes of |y|
+            t_in = inner / (yn - r0) if yn > r0 else 1.0
+            t_out = outer / (yn + r0)
+            axes = []
+            for c in np.atleast_1d(yk).tolist():
+                lo = min((c - r0) * t_in, (c - r0) * t_out)
+                hi = max((c + r0) * t_in, (c + r0) * t_out)
+                first, last = grid_span(lo - shift, hi - shift, N, L)
+                m = np.sort((np.arange(first, last + 1) - span[0]) % N + span[0])
+                at = m[m <= span[1]] % N
+                # bins outside [lo, hi] hold no support; a far one could overflow the warp
+                axes.append(at[(freq[at] >= lo) & (freq[at] <= hi)])
+            bins = axes[0] if n == 1 else np.add.outer(axes[0] * N, axes[1]).ravel()
+            vals = bump_profile(_distances(warp(coords[bins], self.alpha, n), yk), self.delta, r0)
+            keep = vals > 0.0
+            bins, vals = bins[keep], vals[keep]
+            total[bins] += vals
+            if k in wanted:
+                rows.append((bins, vals))
+        offsets = np.concatenate(([0], np.cumsum([b.size for b, _ in rows], dtype=np.intp)))
+        bins = np.concatenate([b for b, _ in rows] or [np.zeros(0, np.intp)])
+        samples = np.concatenate([v for _, v in rows] or [np.zeros(0)]) / total[bins]
+        return (bins, samples, offsets), total
 
 
 def _signed_unwarp(y: float, alpha: float) -> float:
@@ -563,6 +576,12 @@ def freq_axis(N: int, L: float) -> np.ndarray:
     return np.fft.fftfreq(N, d=L / N)
 
 
+def grid_span(lo: float, hi: float, N: int, L: float) -> tuple:
+    """Signed bins (first, last) of the grid (N, L) holding [lo, hi], with one
+    more on each side, inside the Nyquist band -N/2 <= m < N/2."""
+    return max(math.floor(lo * L) - 1, -(N // 2)), min(math.ceil(hi * L) + 1, N // 2 - 1)
+
+
 def freq_grid(n: int, N: int, L: float):
     """Frequency coordinates in fft layout; (N,) for n=1, (N,N,2) for n=2."""
     ax = freq_axis(N, L)
@@ -573,9 +592,10 @@ def freq_grid(n: int, N: int, L: float):
 
 
 def freq_radius(n: int, N: int, L: float) -> np.ndarray:
-    """|xi| per flat fft-layout bin."""
+    """|xi| per flat fft-layout bin; inf where |xi| leaves float range."""
     xi = freq_grid(n, N, L)
-    return (np.abs(xi) if n == 1 else np.linalg.norm(xi, axis=-1)).reshape(-1)
+    with np.errstate(over="ignore"):
+        return (np.abs(xi) if n == 1 else np.linalg.norm(xi, axis=-1)).reshape(-1)
 
 
 def build_partition(spec: CoveringSpec, N: int, L: float) -> Partition:
@@ -599,14 +619,6 @@ def _build_alpha(cov: Covering, spec: CoveringSpec, N: int, L: float) -> Partiti
     n, r0, alpha = cov.n, cov.r0, cov.alpha
     f_nyq = N / (2.0 * L)
 
-    @functools.cache
-    def radii(k):
-        # warped centre, its norm, and the frequency radii between which
-        # the window's support lies
-        yk = cov.lattice_image(k)
-        yn = _norm(yk)
-        return yk, yn, warp_radius_inv(max(yn - r0, 0.0), alpha), warp_radius_inv(yn + r0, alpha)
-
     def usable(k):
         # window k of the first axis lies inside the Nyquist band; one
         # centred beyond float range lies beyond it
@@ -629,53 +641,38 @@ def _build_alpha(cov: Covering, spec: CoveringSpec, N: int, L: float) -> Partiti
         k_fit = cov.first_reaching(f_nyq) - 1
     if k_fit < 1:
         raise GeometryError("grid too small to hold any window beyond the origin")
-    y = warp(freq_grid(n, N, L), alpha, n)
-    y = y.reshape(N ** n, *y.shape[n:])
-    total = np.zeros(N ** n)
-    usable, edge = [], math.inf
     # the sums that normalize usable windows need every window meeting one
     # of them; the lattice gap exceeds the support radius, so two shells
     # beyond the usable windows hold them all
-    for k in _lattice_box((0,) * n, k_fit + 2):
-        yk, yn, inner, outer = radii(k)
-        # xi = y t(|y|) with t increasing, so each axis of the support lies
-        # between the ball's axis extremes times t at the extremes of |y|
-        t_in = inner / (yn - r0) if yn > r0 else 1.0
-        t_out = outer / (yn + r0)
-        idx = None
-        for c in np.atleast_1d(yk).tolist():
-            lo = min((c - r0) * t_in, (c - r0) * t_out)
-            hi = max((c + r0) * t_in, (c + r0) * t_out)
-            ax = np.arange(max(math.ceil(lo * L) - 1, -N // 2),
-                           min(math.floor(hi * L) + 1, N // 2 - 1) + 1) % N
-            # 2-D bins in ascending flat order, as a scan of the whole grid
-            # lists them; 1-D bins in ascending signed order
-            idx = ax if idx is None else np.add.outer(np.sort(idx) * N, np.sort(ax)).ravel()
-        vals = bump_profile(_distances(y[idx], yk), cov.delta, r0)
-        keep = vals > 0.0
-        idx, vals = idx[keep], vals[keep]
-        total[idx] += vals
+    summed = _lattice_box((0,) * n, k_fit + 2)
+    kept, edge = [], math.inf
+    for k in summed:
+        _, yn, _, outer = cov.window_radii(k)
         if _sup_norm(k) <= k_fit and outer < f_nyq:
-            usable.append((k, idx, vals, outer))
+            kept.append(k)
         else:
             # safe radius: nearest non-usable window's inner support edge
             edge = min(edge, max(yn - r0, 0.0))
+    # 1-D bins in ascending signed order, 2-D bins in ascending flat order,
+    # as a scan of the whole grid lists them
+    span = (-(N // 2), N // 2 - 1) if n == 1 else (0, N - 1)
+    (idx, values, offsets), total = cov.sample_windows(kept, summed, (N, L), span)
     if float(total.min()) < _SUM_FLOOR:
         # only a problem where usable windows live; check inside their reach
-        inside = freq_radius(n, N, L) <= max(w[3] for w in usable)
+        inside = freq_radius(n, N, L) <= max(cov.window_radii(k)[3] for k in kept)
         if float(total[inside].min()) < _SUM_FLOOR:
             raise CoveringError("window sum dipped below floor: constants too small")
     members = []
-    for k, idx, vals, outer in usable:
-        if not idx.size:
+    for k, lo, hi in zip(kept, offsets[:-1], offsets[1:]):
+        if lo == hi:
             raise GeometryError(
                 f"window {k} holds no grid bin: frequency spacing {1.0 / L:g} "
                 f"is too coarse for alpha = {alpha:g}")
         center, scale = ball_geometry(k, alpha)
         members.append(PartitionMember(
             index=k, center=center, scale=scale,
-            support_radius=outer - _norm(center),
-            idx=idx, values=vals / total[idx], grid_N=N, grid_L=L))
+            support_radius=cov.window_radii(k)[3] - _norm(center),
+            idx=idx[lo:hi], values=values[lo:hi], grid_N=N, grid_L=L))
     return Partition(alpha=alpha, n=n, N=N, L=L,
                      safe_radius=min(warp_radius_inv(edge, alpha), f_nyq), members=members,
                      covering=cov, spec=spec)

@@ -21,6 +21,7 @@ from alphamod.errors import DomainError, GeometryError, ParameterError
 from alphamod.grids import (bump_train, localize, spectrum, spectrum_norm, witness_band,
                             witness_bump)
 from alphamod.indices import SpaceParams, seq_multiplier_norm_closed
+from test_covering import one_window_reference
 
 
 def sp(rp, rq, s, alpha, n=1):
@@ -128,7 +129,7 @@ class TestLabPartitions:
 
 # -- the dense per-window loop that _spread_ratio ran before it measured
 # through grids.window_lp_norms, kept as the reference it must match bit
-# for bit
+# for bit; its windows come from the dense one-window-at-a-time oracle
 
 def _reference_spread_ratio(k, source, target):
     from alphamod.covering import ball_geometry, neighbor_set
@@ -162,7 +163,7 @@ def _reference_spread_ratio(k, source, target):
     def measure(built):
         N, L, xi, total = built
         coarse = (k - 1, k, k + 1)
-        eta_b = dict(zip(coarse, cov_b.normalized_windows(coarse, xi)))
+        eta_b = {m: one_window_reference(cov_b, m, xi) for m in coarse}
         boxed = total * eta_b[k]
 
         def norm_p(spec_flat, rp):
@@ -170,7 +171,7 @@ def _reference_spread_ratio(k, source, target):
 
         def fine_pieces(spec_flat, rp):
             ls = range(members[0] - 2, members[-1] + 3)
-            return [norm_p(spec_flat * eta_l, rp) for eta_l in cov_a.normalized_windows(ls, xi)]
+            return [norm_p(spec_flat * one_window_reference(cov_a, l, xi), rp) for l in ls]
 
         def coarse_pieces(spec_flat, rp):
             return [norm_p(spec_flat * eta_b[m], rp) for m in coarse]

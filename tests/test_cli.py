@@ -332,6 +332,22 @@ class TestExitCodes:
         assert proc.returncode == EXIT_INTERNAL
         assert proc.stdout == "" and message in proc.stderr
 
+    @pytest.mark.parametrize("n, k_max, window", [("1", "5", "window -5 "),
+                                                  ("2", "3", "window (-3, -3) ")])
+    def test_tiny_period_below_k_max_warns_nothing(self, n, k_max, window):
+        # with --k-max below the bins-versus-windows count the builder samples
+        # the windows; bins 1e300 apart lie outside every support box but
+        # bin 0's, so none is warped (squaring one would overflow); warnings
+        # are errors, in a separate process stopped after 10 s
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "alphamod.cli",
+                               "covering", "--alpha", "0.5", "--n", n,
+                               "--grid", f"{2048 if n == '1' else 64},1e-300",
+                               "--k-max", k_max],
+                              env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == EXIT_INTERNAL
+        assert proc.stdout == "" and f"{window}holds no grid bin" in proc.stderr
+
     @pytest.mark.parametrize("n", ["1", "2"])
     def test_grid_too_small_for_first_window(self, capsys, n):
         # Nyquist frequency 1 lies inside the support of window 1, or (1, 0)

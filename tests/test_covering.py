@@ -20,6 +20,7 @@ from alphamod.covering import (
     dump_partition_samples,
     freq_axis,
     freq_grid,
+    grid_span,
     load_partition_samples,
     neighbor_set,
     partition_rows,
@@ -550,7 +551,6 @@ class TestSampledGamma:
     def test_matches_interval_arithmetic_1d(self):
         fine = build_partition(CoveringSpec(alpha=0.0, n=1), N=2 ** 12, L=8.0)
         coarse = build_partition(CoveringSpec(alpha=0.5, n=1), N=2 ** 12, L=8.0)
-        xi = freq_axis(fine.N, fine.L)
         cov_f = fine.covering
         cov_c = coarse.covering
         for k in (2, 4, 7):
@@ -567,7 +567,11 @@ class TestSampledGamma:
             for l in tilde_s - tilde_e:
                 lo, hi = cov_f.support_interval(l)
                 assert not (plo <= lo and hi <= phi)
-                anchor_vals, = cov_c.normalized_windows((k,), xi[fine.member(l).idx])
+                m = fine.member(l)
+                signed = signed_bins(m.idx, fine.N)
+                (bins, anchor_vals, _), _ = cov_c.sample_windows(
+                    (k,), range(k - 5, k + 6), (fine.N, fine.L), (signed[0], signed[-1]))
+                assert np.array_equal(bins, m.idx)
                 assert anchor_vals.min() >= 1.0 - 1e-12
 
     def test_two_dim_sets(self):
@@ -589,53 +593,101 @@ class TestSampledGamma:
             assert dist <= mk.support_radius + fine.member(l).support_radius + 1e-9
 
 
+def one_window_reference(cov, k, xi):
+    """Window k of the one-dimensional covering cov at the frequencies xi,
+    evaluated densely: its profile over the lattice sum of the profiles of
+    every window reaching xi, summed in lattice order."""
+    y = warp(xi, cov.alpha, 1)
+    l_lo = int(math.floor(float(y.min()) - cov.r0)) - 1
+    l_hi = int(math.ceil(float(y.max()) + cov.r0)) + 1
+    total = np.zeros_like(y)
+    target = None
+    for l in range(l_lo, l_hi + 1):
+        vals = bump_profile(np.abs(y - float(cov.lattice_image(l))), cov.delta, cov.r0)
+        total += vals
+        if l == k:
+            target = vals
+    if target is None:
+        target = bump_profile(np.abs(y - float(cov.lattice_image(k))), cov.delta, cov.r0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(total > 0, target / np.maximum(total, 1e-300), 0.0)
+
+
+def signed_bins(idx, N):
+    """Signed bin numbers of fft-layout positions on an axis of N bins."""
+    return np.where(idx < N // 2, idx, idx - N)
+
+
+def unpack(packed, size):
+    """Dense rows, one per window, of packed windows (bins, samples, offsets)."""
+    bins, samples, offsets = packed
+    rows = np.zeros((len(offsets) - 1, size))
+    for row, lo, hi in zip(rows, offsets[:-1], offsets[1:]):
+        row[bins[lo:hi]] = samples[lo:hi]
+    return rows
+
+
 class TestPointwiseWindows:
     def test_matches_partition_samples(self):
+        # one sampler builds partitions and samples sweep bands: on the bins
+        # of a partition member it gives the member's samples bit for bit
         part = build_partition(CoveringSpec(alpha=0.5, n=1), N=2 ** 12, L=8.0)
-        xi = freq_axis(part.N, part.L)
         for k in (0, 3, 7):
             m = part.member(k)
-            vals, = part.covering.normalized_windows((k,), xi[m.idx])
-            np.testing.assert_allclose(vals, m.values, atol=1e-13)
+            signed = signed_bins(m.idx, part.N)
+            (bins, samples, _), _ = part.covering.sample_windows(
+                (k,), range(k - 5, k + 6), (part.N, part.L), (signed[0], signed[-1]))
+            assert np.array_equal(bins, m.idx)
+            assert np.array_equal(samples, m.values)
 
     def test_sums_to_one_anywhere(self):
         cov = Covering(CoveringSpec(alpha=0.25, n=1))
-        xi = np.linspace(-30.0, 30.0, 1501)
-        total = np.zeros_like(xi)
-        for row in cov.normalized_windows(range(-40, 41), xi):
-            total += row
-        assert np.max(np.abs(total - 1.0)) <= 1e-12
-
+        # bins 1/25.6 apart on [-30, 30], shifted off the lattice points
+        N, L, shift = 2048, 25.6, 0.37
+        span = grid_span(-30.0 - shift, 30.0 - shift, N, L)
+        packed, _ = cov.sample_windows(range(-40, 41), range(-40, 41), (N, L), span, shift)
+        total = unpack(packed, N).sum(axis=0)
+        at = np.arange(span[0], span[1] + 1) % N
+        assert at.size > 1500
+        assert np.max(np.abs(total[at] - 1.0)) <= 1e-12
 
     def test_windows_equal_one_at_a_time_bit_for_bit(self):
-        # the lattice sum formed once for many windows must give what the
-        # old per-window evaluation gave, summed in the same order
-        def one_window_reference(cov, k, xi):
-            y = warp(xi, cov.alpha, 1)
-            l_lo = int(math.floor(float(y.min()) - cov.r0)) - 1
-            l_hi = int(math.ceil(float(y.max()) + cov.r0)) + 1
-            total = np.zeros_like(y)
-            target = None
-            for l in range(l_lo, l_hi + 1):
-                vals = bump_profile(np.abs(y - float(cov.lattice_image(l))),
-                                    cov.delta, cov.r0)
-                total += vals
-                if l == k:
-                    target = vals
-            if target is None:
-                target = bump_profile(np.abs(y - float(cov.lattice_image(k))),
-                                      cov.delta, cov.r0)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                return np.where(total > 0, target / np.maximum(total, 1e-300), 0.0)
-
+        # each profile evaluated on its support box only, and the lattice sum
+        # formed once for many windows, must give what the dense evaluation
+        # of one window at a time gives, summed in the same order
+        grid, span, shift = (2048, 32.0), (0, 2047), 37.3
+        xi = np.fft.fftfreq(2048, d=1.0 / 64.0) + 37.3
+        assert np.array_equal(freq_axis(*grid) + shift, xi)
         for alpha in (0.0, 0.25, 0.5):
             cov = covering_for(CoveringSpec(alpha=alpha, n=1))
-            xi = np.fft.fftfreq(2048, d=1.0 / 64.0) + 37.3
             ks = list(range(-3, 40)) + [500]
-            rows = list(cov.normalized_windows(ks, xi))
+            y = warp(xi, alpha, 1)
+            summed = sorted(set(range(math.floor(y.min() - cov.r0) - 1,
+                                      math.ceil(y.max() + cov.r0) + 2)).union(ks))
+            packed, _ = cov.sample_windows(ks, summed, grid, span, shift)
+            rows = unpack(packed, 2048)
             for k, row in zip(ks, rows):
                 assert np.array_equal(row, one_window_reference(cov, k, xi))
-            assert np.array_equal(next(cov.normalized_windows((7,), xi)), rows[10])
+            # each window lists its bins in ascending fft-layout position; the
+            # one holding the grid's centre wraps
+            bins, _, offsets = packed
+            assert all(np.all(np.diff(bins[lo:hi]) > 0)
+                       for lo, hi in zip(offsets[:-1], offsets[1:]))
+            one, _ = cov.sample_windows((7,), summed, grid, span, shift)
+            assert np.array_equal(unpack(one, 2048)[0], rows[10])
+
+    def test_far_bins_stay_out_of_the_sums(self):
+        # bins 1e300 apart: only bin 0 lies in window 0's support box, so no
+        # bin near 1e300 is warped (squaring it would overflow, and the warp
+        # would send it to 0, inside window 0)
+        cov = covering_for(CoveringSpec(alpha=0.5, n=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (bins, samples, offsets), total = cov.sample_windows(
+                (0, 1), range(-3, 4), (2048, 1e-300), (-1024, 1023))
+        assert bins.tolist() == [0] and samples.tolist() == [1.0]
+        assert offsets.tolist() == [0, 1, 1]
+        assert np.count_nonzero(total) == 1
 
 
 class TestHighAlpha:

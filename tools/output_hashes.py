@@ -6,9 +6,11 @@ Prints one line per named output of the checkout at ROOT: the exit code and
 the sha256 of stdout and stderr of each README command-line example and of
 a set of command lines that end in exit codes 2, 3 and 4 (plus the files the
 examples write), then two library checks, the per-window ``space_norm`` pieces
-at p = 2, 1 and inf on a 1-D and a 2-D partition, the witness samples and
-Monte Carlo estimates of the ``lab_sweep`` fixtures (floats in hex, so a
-rounding change shows which window or witness moved), and one round of each
+at p = 2, 1 and inf on a 1-D and a 2-D partition, the packed samples of three
+partitions and of the windows one bump band and one spread grid hand to the
+norm kernel, the witness samples and Monte Carlo estimates of the
+``lab_sweep`` fixtures (floats in hex, so a rounding change shows which
+window or witness moved), and one round of each
 benchmark workload in ``ROOT/bench/workloads.py`` at seeds 41 and 3.  Two checkouts
 whose outputs agree print the same lines, so a refactor is checked with
 
@@ -211,6 +213,61 @@ def norm_lines(mods: dict) -> list:
     return lines
 
 
+# (name, spec keywords, N, L) of the partition samples lines: the README
+# covering example, the 2-D one and the --k-max 20 one of COMMANDS
+SAMPLED_PARTITIONS = [
+    ("readme", dict(alpha=0.5), 4096, 8.0),
+    ("2d", dict(alpha=0.5, n=2), 64, 1.0),
+    ("k-max-20", dict(alpha=1 / 3, c_small=0.3, c_big=0.7, k_max=20), 1024, 8.0),
+]
+
+
+def packed_sha(*arrays) -> str:
+    """sha of integer arrays as little-endian int64 and float ones as float64."""
+    return sha(b"".join(np.asarray(a, "<i8" if np.asarray(a).dtype.kind in "iu" else "<f8")
+                        .tobytes() for a in arrays))
+
+
+def partition_lines(mods: dict) -> list:
+    covering = mods["covering"]
+    lines = []
+    for name, spec, N, L in SAMPLED_PARTITIONS:
+        part = covering.build_partition(covering.CoveringSpec(**spec), N=N, L=L)
+        lines.append(f"partition samples {name} windows={len(part.members)} "
+                     f"{packed_sha(part.idx, part.values, part.offsets)}")
+    return lines
+
+
+# octave of the band windows lines, on the first lab_sweep growth pair
+BAND_OCTAVE = 6
+
+
+def band_lines(mods: dict) -> list:
+    """One line per call of the norm kernel in box_opnorm_lower: the packed
+    windows (bins, samples, offsets) of the two bump bands (two calls each,
+    target side then source side) and of the spread grids."""
+    import workloads
+
+    asymptotics, parse = mods["asymptotics"], mods["cli"].parse_space
+    src, tgt = (parse(text) for text in workloads.GROWTH_FIXTURES[0][:2])
+    a, b = sorted((float(src.alpha), float(tgt.alpha)))
+    k = asymptotics.anchor_for_octave(BAND_OCTAVE, b)
+    grid = asymptotics.plan_grid(src, tgt, k, l_fine=asymptotics.matched_fine_index(k, a, b))
+    kernel, lines = asymptotics.window_lp_norms, []
+
+    def recording(spec, bins, samples, offsets, *rest):
+        lines.append(f"band windows j={BAND_OCTAVE} k={k} call={len(lines)} "
+                     f"windows={len(offsets) - 1} {packed_sha(bins, samples, offsets)}")
+        return kernel(spec, bins, samples, offsets, *rest)
+
+    asymptotics.window_lp_norms = recording
+    try:
+        asymptotics.box_opnorm_lower(k, src, tgt, grid)
+    finally:
+        asymptotics.window_lp_norms = kernel
+    return lines
+
+
 # octaves of the box_opnorm_lower lines; Monte Carlo windows of the first
 # growth pair (b = 1/2): the lab clip to the safe radius fires at k = 8
 SWEEP_OCTAVES = range(4, 9)
@@ -264,8 +321,8 @@ def main(argv=None) -> int:
         return 2
     root = os.path.abspath(args[0])
     mods = checkout_modules(root)
-    lines = (cli_lines(root) + library_lines(mods) + norm_lines(mods) + sweep_lines(mods)
-             + workload_lines(mods))
+    lines = (cli_lines(root) + library_lines(mods) + norm_lines(mods) + partition_lines(mods)
+             + band_lines(mods) + sweep_lines(mods) + workload_lines(mods))
     for line in lines:
         print(line, flush=True)
     return 0
