@@ -26,9 +26,9 @@ from .covering import (Covering, CoveringSpec, Partition, ball_geometry,
                        window_base)
 from .errors import DomainError, GeometryError, ParameterError, TruncationError
 # box_apply and witness_bump are unused here; bench/spans.py traces them here too
-from .grids import (WITNESS_SAFETY, box_apply, bump_train, from_spectrum, lp_quasinorm,
+from .grids import (box_apply, bump_train, check_band_limit, from_spectrum, lp_quasinorm,
                     random_band_limited, smoothness_weights, space_norm, weighted_lq,
-                    window_lp_norms, witness_band, witness_bump)
+                    window_lp_norms, witness_band, witness_bump, witness_fraction)
 from .indices import (TERM_LABELS, SpaceParams, embedding_decide, growth_index,
                       seq_multiplier_norm_closed)
 
@@ -82,12 +82,6 @@ def lab_covering(alpha: float) -> Covering:
     return covering_for(CoveringSpec(alpha=float(alpha), n=1))
 
 
-def lab_witness_fraction(alpha: float) -> float:
-    """Support radius of the lab's witness bumps on the covering of alpha,
-    as a fraction of the window scale."""
-    return WITNESS_SAFETY * lab_covering(alpha).plateau_fraction(32)
-
-
 @functools.lru_cache(maxsize=48)
 def partition_for(alpha: float, N: int, L: float) -> Partition:
     """The shared lab partition of alpha on the (N, L) grid: built on the
@@ -118,7 +112,7 @@ def matched_fine_index(k: int, a: float, b: float) -> int:
     """Fine-covering index whose scale matches window k of the coarse covering."""
     target = (1.0 + k * k) ** ((1.0 - a) / (1.0 - b))
     l0 = int(round(math.sqrt(max(target - 1.0, 0.0))))
-    frac = lab_witness_fraction(a)
+    frac = witness_fraction(lab_covering(a))
     plateau = lab_covering(b).plateau_interval(k)
     best, best_err = l0, math.inf
     for l in range(max(0, l0 - 3), l0 + 4):
@@ -162,9 +156,9 @@ def plan_grid(source: SpaceParams, target: SpaceParams, k: int, *,
     # the next coarse window must also be usable, or the safe window stops
     # short of the anchor's own support
     reach = cov_b.support_outer_radius(k + 2) * 1.02 + 2.0
-    widths = [1.0 / (lab_witness_fraction(b) * scale_k)]
+    widths = [1.0 / (witness_fraction(cov_b) * scale_k)]
     if l_fine is not None:
-        widths.append(1.0 / (lab_witness_fraction(a) * ball_geometry(l_fine, a)[1]))
+        widths.append(1.0 / (witness_fraction(lab_covering(a)) * ball_geometry(l_fine, a)[1]))
     L = max(16.0, 12.0 * max(widths))
     N = _next_pow2(2.0 * L * reach)
     while N > DEFAULT_BUDGET and L > 18.0:
@@ -231,9 +225,7 @@ def _bump_ratio(l: int, alpha: float, k: int, source: SpaceParams, target: Space
     # the band of the piece on the target covering, the witness's on the source's
     piece = min(creach, lab_covering(b).support_outer_radius(k))
     for limit, side in ((piece, target), (creach, source)):
-        safe = radii[float(side.alpha)][1]
-        if limit > safe:
-            raise TruncationError(f"declared band limit {limit} exceeds safe radius {safe}")
+        check_band_limit(limit, radii[float(side.alpha)][1])
     span = grid_span(center - frac * scale, center + frac * scale, N, L)
     pos = np.arange(span[0], span[1] + 1) % N
     spec = np.zeros(N, dtype=complex)
@@ -264,7 +256,7 @@ def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams) -> Optional[
         # and the sample only adds boundary noise to the fit
         if len(members) < 3:
             return None
-    frac = lab_witness_fraction(a)
+    frac = witness_fraction(lab_covering(a))
     c_ref, _ = ball_geometry(k, b)
     geo = {l: ball_geometry(l, a) for l in members}
     wmax = max(1.0 / (frac * geo[l][1]) for l in members)
@@ -301,14 +293,26 @@ def _spread_ratio(k: int, source: SpaceParams, target: SpaceParams) -> Optional[
 
 # -- operator-norm lower bounds ---------------------------------------------
 
+def _check_sweep(kind: str, source: SpaceParams, target: SpaceParams, *, shared_q: bool):
+    """Raise ParameterError naming the kind of sweep unless n = 1, q is shared
+    (when shared_q), 1/p2 <= 1/p1 and alpha < 1, checked in that order."""
+    if source.n != 1 or target.n != 1:
+        raise ParameterError(f"{kind} sweeps measure one-dimensional windows: they need n = 1")
+    if shared_q and float(source.rq) != float(target.rq):
+        raise ParameterError(f"{kind} sweeps are defined for a shared q")
+    if float(target.rp) > float(source.rp):
+        raise ParameterError(f"{kind} sweeps require 1/p2 <= 1/p1")
+    if max(float(source.alpha), float(target.alpha)) >= 1.0:
+        raise ParameterError(f"{kind} sweeps cover alpha < 1")
+
+
 def box_opnorm_lower(k: int, source: SpaceParams, target: SpaceParams,
                      grid: tuple) -> list:
     """Witness-function lower bounds for the localized operator norm at k:
     one sample per witness family of TERM_LABELS, the bump witnesses on the
     lab grid (N, L) of plan_grid, the spread witness on its own demodulated
     grid (skipped when no window is absorbed or the budget is too small)."""
-    if float(target.rp) > float(source.rp):
-        raise ParameterError("lower-bound sweeps require 1/p2 <= 1/p1")
+    _check_sweep("lower-bound", source, target, shared_q=False)
     radii = _safe_radii(source, target, grid)
     a, b = sorted((float(source.alpha), float(target.alpha)))
     eff = eff_logscale(k, b)
@@ -372,14 +376,7 @@ def growth_rate_check(source: SpaceParams, target: SpaceParams, j_range, *,
                       seed: int = 0) -> dict:
     """Sweep the localized-norm lower bounds over octaves and compare the
     fitted growth slopes with the closed-form index."""
-    if source.n != 1 or target.n != 1:
-        raise ParameterError("rate sweeps measure one-dimensional windows: they need n = 1")
-    if float(source.rq) != float(target.rq):
-        raise ParameterError("rate sweeps are defined for a shared q")
-    if float(target.rp) > float(source.rp):
-        raise ParameterError("rate sweeps require 1/p2 <= 1/p1")
-    if max(float(source.alpha), float(target.alpha)) >= 1.0:
-        raise ParameterError("rate sweeps cover alpha < 1")
+    _check_sweep("rate", source, target, shared_q=True)
     js = sorted(j_range)
     if not js:
         raise ParameterError("octave range is empty")
@@ -423,7 +420,7 @@ def growth_rate_check(source: SpaceParams, target: SpaceParams, j_range, *,
         raise GeometryError("no witness family produced a fittable sweep")
     max_slope = max(slopes.values())
     predicted_value = float(predicted.value)
-    report = {
+    return {
         "source": _space_dict(source),
         "target": _space_dict(target),
         "seed": seed,
@@ -439,7 +436,6 @@ def growth_rate_check(source: SpaceParams, target: SpaceParams, j_range, *,
         "samples": [asdict(s) for s in samples],
         "skipped": skipped,
     }
-    return report
 
 
 def _space_dict(p: SpaceParams) -> dict:
@@ -516,13 +512,8 @@ def embedding_consistency_check(source: SpaceParams, target: SpaceParams,
     bounded truncations must accompany an embedding with clear margin.
     Verdicts within the boundary band are reported as skipped.
     """
-    if source.n != 1 or target.n != 1:
-        raise ParameterError("consistency sweeps measure one-dimensional windows: they need n = 1")
-    if float(target.rp) > float(source.rp):
-        raise ParameterError("consistency sweeps require 1/p2 <= 1/p1")
+    _check_sweep("consistency", source, target, shared_q=False)
     b = max(float(source.alpha), float(target.alpha))
-    if b >= 1.0:
-        raise ParameterError("consistency sweeps cover alpha < 1")
     if truncation < 4:
         raise ParameterError(f"truncation must be at least 4, got {truncation}")
     verdict = embedding_decide(source, target)

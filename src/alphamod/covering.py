@@ -300,11 +300,9 @@ class Covering:
         return k
 
     def inscribed_plateau_radius(self, k: Index) -> float:
-        """Largest ball about the window center on which the window is 1."""
-        if self.n == 1:
-            lo, hi = self.plateau_interval(int(k))
-            c, _ = ball_geometry(int(k), self.alpha)
-            return min(c - lo, hi - c)
+        """Largest ball about the window center on which the window is 1, from
+        the plateau's radii about the origin, |y_k| -+ delta unwarped (in one
+        dimension the ends of plateau_interval)."""
         yn = self.window_radii(k)[1]
         cn = _norm(ball_geometry(k, self.alpha)[0])
         inner = warp_radius_inv(max(yn - self.delta, 0.0), self.alpha)
@@ -318,7 +316,7 @@ class Covering:
             return frac
         frac = math.inf
         for k in range(0, k_probe + 1):
-            kk = k if self.n == 1 else (k,) + (0,) * (self.n - 1)
+            kk = self.axis_window(k)
             _, scale = ball_geometry(kk, self.alpha)
             frac = min(frac, self.inscribed_plateau_radius(kk) / scale)
         self._plateau_fractions[k_probe] = frac

@@ -204,13 +204,17 @@ def sequence_norm(lam: dict, s, rq, alpha) -> float:
     return weighted_lq([abs(v) for v in lam.values()], rq, weights)
 
 
+def check_band_limit(band_limit: float, safe_radius: float):
+    """Raise TruncationError when a band limit a caller asserts exceeds the safe radius."""
+    if not band_limit <= safe_radius:
+        raise TruncationError(
+            f"declared band limit {band_limit} exceeds safe radius {safe_radius}")
+
+
 def _check_band(spec_flat: np.ndarray, band_limit, partition: Partition):
     if band_limit is not None:
-        if band_limit <= partition.safe_radius:
-            return
-        raise TruncationError(
-            f"declared band limit {band_limit} exceeds safe radius "
-            f"{partition.safe_radius}")
+        check_band_limit(band_limit, partition.safe_radius)
+        return
     rho = freq_radius(partition.n, partition.N, partition.L)
     total = float(np.sum(np.abs(spec_flat) ** 2))
     outside = float(np.sum(np.abs(spec_flat[rho >= partition.safe_radius]) ** 2))
@@ -355,11 +359,17 @@ _WITNESS_PLATEAU_FRACTION = 0.25
 WITNESS_SAFETY = 0.85
 
 
+def witness_fraction(covering) -> float:
+    """Support radius of the witness bumps of an alpha < 1 covering over the
+    window scale: WITNESS_SAFETY times its plateau fraction over |k| <= 32."""
+    return WITNESS_SAFETY * covering.plateau_fraction(32)
+
+
 def witness_band(l: Index, alpha: float, covering, N: int, L: float) -> tuple:
-    """Centre, scale, support fraction (spectral support radius over scale)
+    """Centre, scale, support fraction (witness_fraction of the covering)
     and band limit |centre| + fraction * scale of the witness bump of window
     l on an alpha < 1 covering; a band reaching N/(2L) raises TruncationError."""
-    frac = WITNESS_SAFETY * covering.plateau_fraction(128)
+    frac = witness_fraction(covering)
     center, scale = ball_geometry(l, alpha)
     creach = float(np.linalg.norm(np.atleast_1d(center))) + frac * scale
     if creach >= N / (2.0 * L):

@@ -208,8 +208,14 @@ def _unscale(value, denom: int) -> Scalar:
     return value if denom == 1 else Fraction(value, denom)
 
 
-def _branch_index(n, rp1, rp2, rq1, rq2, alpha1, alpha2) -> IndexBreakdown:
-    """Common-q index with q = q1 when alpha1 <= alpha2 and q = q2 otherwise."""
+def embedding_index(n: int, rp1: Scalar, rp2: Scalar, rq1: Scalar, rq2: Scalar,
+            alpha1: Scalar, alpha2: Scalar) -> IndexBreakdown:
+    """Smoothness-gap index: common-q index with q = q1 or q2 by branch.
+
+    The q of the coarser covering's sequence space is the one that
+    matters: q1 when alpha1 <= alpha2, q2 when alpha1 > alpha2.  At
+    alpha1 = alpha2 the two choices agree term by term.
+    """
     given = (rp1, rp2, rq1, rq2, alpha1, alpha2)
     exact = is_exact(*given)
     if not exact:
@@ -245,19 +251,8 @@ def _branch_index(n, rp1, rp2, rq1, rq2, alpha1, alpha2) -> IndexBreakdown:
 
 def growth_index(n: int, rp1: Scalar, rp2: Scalar, rq: Scalar,
             alpha1: Scalar, alpha2: Scalar) -> IndexBreakdown:
-    """Growth index of the localized operator norms, common-q form."""
-    return _branch_index(n, rp1, rp2, rq, rq, alpha1, alpha2)
-
-
-def embedding_index(n: int, rp1: Scalar, rp2: Scalar, rq1: Scalar, rq2: Scalar,
-            alpha1: Scalar, alpha2: Scalar) -> IndexBreakdown:
-    """Smoothness-gap index: common-q index with q = q1 or q2 by branch.
-
-    The q of the coarser covering's sequence space is the one that
-    matters: q1 when alpha1 <= alpha2, q2 when alpha1 > alpha2.  At
-    alpha1 = alpha2 the two choices agree term by term.
-    """
-    return _branch_index(n, rp1, rp2, rq1, rq2, alpha1, alpha2)
+    """Growth index of the localized operator norms: embedding_index at one q."""
+    return embedding_index(n, rp1, rp2, rq, rq, alpha1, alpha2)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ from alphamod.asymptotics import (
 )
 from alphamod import covering
 from alphamod.covering import CoveringSpec, build_partition, freq_axis, neighbor_set
-from alphamod.errors import DomainError, GeometryError, ParameterError
-from alphamod.grids import (bump_train, localize, spectrum, spectrum_norm, witness_band,
-                            witness_bump)
+from alphamod.errors import DomainError, GeometryError, ParameterError, TruncationError
+from alphamod.grids import (WITNESS_SAFETY, bump_train, localize, spectrum, spectrum_norm,
+                            witness_band, witness_bump, witness_fraction)
 from alphamod.indices import SpaceParams, seq_multiplier_norm_closed
 from test_covering import one_window_reference
 
@@ -66,6 +66,14 @@ class TestBoxOpNormLower:
         grid = plan_grid(tgt, src, 4)
         with pytest.raises(ParameterError):
             box_opnorm_lower(4, src, tgt, grid)
+
+    def test_one_dimension_required(self):
+        # the lab windows are one-dimensional: 2-D spaces get no 1-D measurement
+        src, tgt = sp(1, 0, 0, 0, n=2), sp(0, 0, 0, 0.5, n=2)
+        grid = plan_grid(src, tgt, 6)
+        for call in (box_opnorm_lower, box_opnorm_montecarlo):
+            with pytest.raises(ParameterError, match="^lower-bound sweeps measure one-dim"):
+                call(6, src, tgt, grid)
 
     def test_spread_witness_decays_when_term_negative(self):
         # spread ratios fall like the third term even when it is not binding
@@ -144,7 +152,7 @@ def _reference_spread_ratio(k, source, target):
         members = sorted(neighbor_set("GammaTilde", k, (a, b)))
         if len(members) < 3:
             return None
-    frac = asymptotics.lab_witness_fraction(a)
+    frac = witness_fraction(asymptotics.lab_covering(a))
     c_ref, _ = ball_geometry(k, b)
     geo = {l: ball_geometry(l, a) for l in members}
     wmax = max(1.0 / (frac * geo[l][1]) for l in members)
@@ -353,6 +361,44 @@ class TestLabGeometry:
         box_opnorm_montecarlo(k, src, tgt, plan_grid(src, tgt, k), trials=4)
         assert built == []
 
+    def test_sweeps_read_the_witness_band_fraction(self, monkeypatch):
+        # at alpha = 0 the plateau fractions over |k| <= 32 and |k| <= 128
+        # differ in the last bits; every caller reads the one witness_band uses
+        cov = asymptotics.lab_covering(0.0)
+        frac = witness_band(0, 0.0, cov, 2 ** 12, 16.0)[2]
+        plateau_fraction, probes = covering.Covering.plateau_fraction, set()
+
+        def spying(self, k_probe):
+            if self is cov:
+                probes.add(k_probe)
+            return plateau_fraction(self, k_probe)
+
+        monkeypatch.setattr(covering.Covering, "plateau_fraction", spying)
+        src, tgt = LAB_PAIRS[0]
+        k = asymptotics.anchor_for_octave(6, 0.5)
+        l_fine = asymptotics.matched_fine_index(k, 0.0, 0.5)
+        for name, call in (("matched_fine_index",
+                            lambda: asymptotics.matched_fine_index(k, 0.0, 0.5)),
+                           ("plan_grid", lambda: plan_grid(src, tgt, k, l_fine=l_fine)),
+                           ("_spread_ratio", lambda: asymptotics._spread_ratio(k, src, tgt))):
+            probes.clear()
+            call()
+            assert probes, name
+            assert {WITNESS_SAFETY * plateau_fraction(cov, p) for p in probes} == {frac}, name
+        assert frac == witness_fraction(cov)
+
+    def test_declared_band_beyond_safe_radius_raises(self):
+        src, tgt = LAB_PAIRS[0]
+        k = asymptotics.anchor_for_octave(6, 0.5)
+        grid = plan_grid(src, tgt, k)
+        radii = asymptotics._safe_radii(src, tgt, grid)
+        # the anchor witness's band reaches past a safe radius cut to 1
+        short = {x: (usable, 1.0) for x, (usable, _) in radii.items()}
+        with pytest.raises(TruncationError,
+                           match=r"^declared band limit \S+ exceeds safe radius 1\.0$"):
+            asymptotics._bump_ratio(k, 0.5, k, src, tgt, grid, short)
+        assert asymptotics._bump_ratio(k, 0.5, k, src, tgt, grid, radii) > 0
+
 
 class TestMonteCarlo:
     def test_dominates_witnesses_and_monotone(self):
@@ -450,6 +496,26 @@ class TestGrowthRateCheck:
         asymptotics._partition_cache.clear()
         second = growth_rate_check(src, tgt, range(4, 8), seed=3)
         assert second == first
+
+    def test_preconditions_in_order(self):
+        # a pair failing several preconditions names the first failed one:
+        # n = 1, a shared q (rate sweeps), 1/p2 <= 1/p1, then alpha < 1
+        good_src = sp(1, 0, 0, 0)
+        cases = [
+            (sp(1, 0, 0, 0, n=2), sp(2, 1, 0, 1, n=2), "measure one-dimensional windows"),
+            (good_src, sp(2, 1, 0, 1), "are defined for a shared q"),
+            (good_src, sp(2, 0, 0, 1), "require 1/p2 <= 1/p1"),
+            (good_src, sp(0, 0, 0, 1), "cover alpha < 1"),
+        ]
+        for src, tgt, message in cases:
+            with pytest.raises(ParameterError, match=f"^rate sweeps {message}"):
+                growth_rate_check(src, tgt, range(4, 8))
+            if "shared q" not in message:
+                with pytest.raises(ParameterError, match=f"^consistency sweeps {message}"):
+                    embedding_consistency_check(src, tgt, truncation=8)
+        # the consistency sweep needs no shared q
+        with pytest.raises(ParameterError, match="^consistency sweeps require 1/p2"):
+            embedding_consistency_check(good_src, sp(2, 1, 0, 1), truncation=8)
 
     def test_two_dimensions_rejected(self):
         # the sweeps measure one-dimensional windows only

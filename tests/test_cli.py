@@ -1,5 +1,7 @@
 """Command-line surface: parsing, reports, exit codes, determinism."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -170,6 +172,19 @@ class TestNormcalcCommand:
         assert status == EXIT_OK
         assert json.loads(out)["result"]["value"] > 0
 
+    def test_csv_rows_are_the_pieces(self, capsys):
+        argv = ["normcalc", "--source", "p=2,q=2,s=0,alpha=0.5", "--builtin", "bump",
+                "--grid", "2048,8"]
+        status, out, _ = invoke(argv, capsys)
+        assert status == EXIT_OK
+        pieces = json.loads(out)["result"]["pieces"]
+        status, out, _ = invoke(argv + ["--format", "csv"], capsys)
+        assert status == EXIT_OK
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["index", "lp_value"]
+        assert [r[0] for r in rows[1:]] == sorted(pieces)
+        assert [float(r[1]) for r in rows[1:]] == [pieces[k] for k in sorted(pieces)]
+
 
 class TestVerifyCommands:
     def test_asymptotics_report(self, capsys):
@@ -181,6 +196,21 @@ class TestVerifyCommands:
         result = json.loads(out)["result"]
         assert result["pass"] is True
         assert abs(result["max_slope"] - 0.5) <= 0.15
+
+    def test_asymptotics_csv_rows_are_the_samples(self, capsys):
+        argv = ["verify-asymptotics", "--source", "p=1,q=inf,s=0,alpha=0",
+                "--target", "p=inf,q=inf,s=0,alpha=0.5", "--j-range", "4:7"]
+        status, out, _ = invoke(argv, capsys)
+        assert status == EXIT_OK
+        samples = json.loads(out)["result"]["samples"]
+        status, out, _ = invoke(argv + ["--format", "csv"], capsys)
+        assert status == EXIT_OK
+        rows = list(csv.reader(io.StringIO(out)))
+        header = ["j", "k", "witness", "lower_bound", "eff_logscale"]
+        assert rows[0] == header
+        assert len(rows) == len(samples) + 1 > 1
+        for row, sample in zip(rows[1:], samples):
+            assert row == [str(sample[h]) for h in header]
 
     def test_embedding_consistency_route(self, capsys):
         status, out, _ = invoke(["verify-embedding",

@@ -748,6 +748,33 @@ class TestExport:
         np.testing.assert_array_equal(b0["idx"], m0.idx)
 
 
+def _reference_plateau_radius_1d(cov, k):
+    """The one-dimensional inscribed plateau radius: the distance from the
+    window centre to the nearer end of its plateau interval."""
+    lo, hi = cov.plateau_interval(k)
+    c, _ = ball_geometry(k, cov.alpha)
+    return min(c - lo, hi - c)
+
+
+class TestInscribedPlateauRadius:
+    """One plateau formula serves every dimension; in one dimension it
+    equals the plateau-interval form bit for bit."""
+
+    def test_equals_plateau_interval_form_1d(self):
+        feasible = 0
+        for alpha in np.linspace(0.0, 0.98, 15).tolist():
+            for c_big in (None, 0.5, 0.6, 0.7, 0.8, 0.9):
+                try:
+                    cov = Covering(CoveringSpec(alpha=alpha, n=1, c_big=c_big))
+                except CoveringError:
+                    continue
+                feasible += 1
+                for k in range(300):
+                    assert (cov.inscribed_plateau_radius(k)
+                            == _reference_plateau_radius_1d(cov, k)), (alpha, c_big, k)
+        assert feasible == 83
+
+
 class TestCoveringConstants:
     def test_plateau_fraction_positive(self):
         for alpha in [0.0, 0.25, 0.5, 0.75]:

@@ -8,10 +8,11 @@ a set of command lines that end in exit codes 2, 3 and 4 (plus the files the
 examples write), then two library checks, the per-window ``space_norm`` pieces
 at p = 2, 1 and inf on a 1-D and a 2-D partition, the packed samples of three
 partitions and of the windows one bump band and one spread grid hand to the
-norm kernel, the witness samples and Monte Carlo estimates of the
-``lab_sweep`` fixtures (floats in hex, so a rounding change shows which
-window or witness moved), and one round of each
-benchmark workload in ``ROOT/bench/workloads.py`` at seeds 41 and 3.  Two checkouts
+norm kernel, the witness bumps' support fraction on six coverings, the grids
+``plan_grid`` sizes for the ``lab_sweep`` growth fixtures, the witness samples
+and Monte Carlo estimates of those fixtures (floats in hex, so a rounding
+change shows which window or witness moved), and one round of each benchmark
+workload in ``ROOT/bench/workloads.py`` at seeds 41 and 3.  Two checkouts
 whose outputs agree print the same lines, so a refactor is checked with
 
     diff <(python tools/output_hashes.py OLD) <(python tools/output_hashes.py NEW)
@@ -268,10 +269,40 @@ def band_lines(mods: dict) -> list:
     return lines
 
 
-# octaves of the box_opnorm_lower lines; Monte Carlo windows of the first
-# growth pair (b = 1/2): the lab clip to the safe radius fires at k = 8
+# octaves of the witness grid and box_opnorm_lower lines; Monte Carlo windows
+# of the first growth pair (b = 1/2): the lab clip to the safe radius fires at k = 8
 SWEEP_OCTAVES = range(4, 9)
 MONTECARLO_WINDOWS = (8, 6)
+
+# (name, alpha, n) of the witness fraction lines: the lab coverings of the
+# sweeps and the 2-D covering of alpha 1/2
+WITNESS_COVERINGS = [("0", 0.0, 1), ("1/4", 0.25, 1), ("1/3", 1 / 3, 1), ("1/2", 0.5, 1),
+                     ("3/4", 0.75, 1), ("1/2", 0.5, 2)]
+
+
+def witness_lines(mods: dict) -> list:
+    """The support fraction witness_band gives the bumps of each of
+    WITNESS_COVERINGS, and the (N, L) plan_grid gives each lab_sweep growth
+    pair at SWEEP_OCTAVES, so a change to the witness geometry shows which
+    quantity moved."""
+    import workloads
+
+    asymptotics, covering, grids = mods["asymptotics"], mods["covering"], mods["grids"]
+    lines = []
+    for name, alpha, n in WITNESS_COVERINGS:
+        cov = covering.covering_for(covering.CoveringSpec(alpha=alpha, n=n))
+        frac = grids.witness_band(cov.axis_window(0), alpha, cov, 2 ** 10, 1.0)[2]
+        lines.append(f"witness fraction n={n} alpha={name} {canon(frac)}")
+    parse = mods["cli"].parse_space
+    for i, (s, t, _) in enumerate(workloads.GROWTH_FIXTURES):
+        src, tgt = parse(s), parse(t)
+        a, b = sorted((float(src.alpha), float(tgt.alpha)))
+        for j in SWEEP_OCTAVES:
+            k = asymptotics.anchor_for_octave(j, b)
+            N, L = asymptotics.plan_grid(src, tgt, k,
+                                         l_fine=asymptotics.matched_fine_index(k, a, b))
+            lines.append(f"witness grid pair={i} j={j} k={k} N={N} L={canon(L)}")
+    return lines
 
 
 def sweep_lines(mods: dict) -> list:
@@ -322,7 +353,8 @@ def main(argv=None) -> int:
     root = os.path.abspath(args[0])
     mods = checkout_modules(root)
     lines = (cli_lines(root) + library_lines(mods) + norm_lines(mods) + partition_lines(mods)
-             + band_lines(mods) + sweep_lines(mods) + workload_lines(mods))
+             + band_lines(mods) + witness_lines(mods) + sweep_lines(mods)
+             + workload_lines(mods))
     for line in lines:
         print(line, flush=True)
     return 0
