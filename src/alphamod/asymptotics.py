@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .covering import (Covering, CoveringSpec, Partition, ball_geometry,
+from .covering import (Covering, CoveringSpec, Partition, ball_geometry, bin_frequencies,
                        build_partition, covering_for, freq_axis, grid_span, warp,
                        window_base)
 from .errors import DomainError, GeometryError, ParameterError, TruncationError
@@ -180,8 +180,10 @@ def _packed_windows(alpha: float, grid: tuple, span: tuple, shift: float = 0.0,
     shifted by shift (see Covering.sample_windows), sampled on that segment."""
     cov = lab_covering(alpha)
     N, L = grid
-    xi = freq_axis(N, L)[np.arange(span[0], span[1] + 1) % N] + shift
-    y_lo, y_hi = (float(y) for y in warp(np.array([xi.min(), xi.max()]), cov.alpha)
+    # the segment's least and greatest signed bins: its ends, unless it wraps past N/2
+    first, size = (span[0] + N // 2) % N - N // 2, span[1] - span[0]
+    ends = [first, first + size] if first + size < N // 2 else [-(N // 2), N // 2 - 1]
+    y_lo, y_hi = (float(y) for y in warp(bin_frequencies(ends, N, L) + shift, cov.alpha)
                   + [-cov.r0, cov.r0])
     meeting = [l for l in range(math.floor(y_lo) - 1, math.ceil(y_hi) + 2)
                if y_lo < cov.lattice_image(l) < y_hi]
@@ -227,9 +229,9 @@ def _bump_ratio(l: int, alpha: float, k: int, source: SpaceParams, target: Space
     for limit, side in ((piece, target), (creach, source)):
         check_band_limit(limit, radii[float(side.alpha)][1])
     span = grid_span(center - frac * scale, center + frac * scale, N, L)
-    pos = np.arange(span[0], span[1] + 1) % N
+    m = np.arange(span[0], span[1] + 1)
     spec = np.zeros(N, dtype=complex)
-    spec[pos] = bump_train(freq_axis(N, L)[pos], [(center, scale)], 0.0, frac)
+    spec[m % N] = bump_train(bin_frequencies(m, N, L), [(center, scale)], 0.0, frac)
     return _band_ratio(k, source, target, spec, grid, _packed_windows(target.alpha, grid, span),
                        _packed_windows(source.alpha, grid, span))
 
@@ -353,7 +355,7 @@ def box_opnorm_montecarlo(k: int, source: SpaceParams, target: SpaceParams,
     reach = max(cov_b.support_outer_radius(l) for l in star)
     safe = min(radii[x][1] for x in (a1, a2))
     if reach > safe:
-        drawn = drawn[np.abs(freq_axis(N, L)[drawn]) <= safe * 0.98]
+        drawn = drawn[np.abs(bin_frequencies((drawn + N // 2) % N - N // 2, N, L)) <= safe * 0.98]
 
     def one_trial(trial_seed: int) -> float:
         rng = np.random.default_rng(trial_seed)
@@ -383,8 +385,7 @@ def growth_rate_check(source: SpaceParams, target: SpaceParams, j_range, *,
     if js[-1] - js[0] < 3:
         raise ParameterError("octave range must span at least 4 octaves")
     a1, a2 = float(source.alpha), float(target.alpha)
-    b = max(a1, a2)
-    a = min(a1, a2)
+    a, b = min(a1, a2), max(a1, a2)
     predicted = growth_index(source.n, source.rp, target.rp, source.rq, a1, a2)
     samples = []
     skipped = []
@@ -408,14 +409,12 @@ def growth_rate_check(source: SpaceParams, target: SpaceParams, j_range, *,
         except (GeometryError, TruncationError) as exc:
             skipped.append({"j": j, "reason": str(exc)})
     fits = {}
-    slopes = {}
     for witness in TERM_LABELS:
         pts = [(s.eff_logscale, s.lower_bound) for s in samples
                if s.witness == witness and s.lower_bound > 0]
         if len(pts) >= 3:
-            fit = exponent_fit(pts)
-            fits[witness] = fit
-            slopes[witness] = fit.slope
+            fits[witness] = exponent_fit(pts)
+    slopes = {w: f.slope for w, f in fits.items()}
     if not slopes:
         raise GeometryError("no witness family produced a fittable sweep")
     max_slope = max(slopes.values())

@@ -40,6 +40,8 @@ _PLATEAU_CAP = 0.23
 _PLATEAU_FLOOR = 0.04
 _SEPARATION_MARGIN = 0.02
 _SUM_FLOOR = 1e-3
+# (window, bin) pairs per pass of Covering.sample_windows, which bounds its memory
+SAMPLE_PAIRS = 2 ** 12
 
 
 def smooth_step(t):
@@ -75,8 +77,7 @@ def warp(xi, alpha: float, n: int = 1):
 
 def warp_radius(rho, alpha: float):
     """|y| as a function of |xi| (monotone increasing for alpha < 1)."""
-    rho = np.asarray(rho, dtype=float)
-    return rho * (1.0 + rho * rho) ** (-alpha / 2.0)
+    return warp(rho, alpha)
 
 
 def _norm(point) -> float:
@@ -336,46 +337,65 @@ class Covering:
     def sample_windows(self, ks, summed, grid: tuple, span: tuple, shift: float = 0.0) -> tuple:
         """The windows eta_k = phi_k / sum_{l in summed} phi_l, k in ks (a
         subsequence of summed), on the bins m of span = (first, last), at
-        most N, on every axis of the grid (N, L); bin m sits at frequency
-        freq_axis(N, L)[m % N] + shift.  Each profile is evaluated only on
-        the bins of a per-axis box holding its support.
-
-        Returns ((bins, samples, offsets), total): window ks[i] holds the
-        fft-layout positions bins[offsets[i]:offsets[i + 1]] in ascending m
-        (flat order on two axes); total is the lattice sum on all N^n bins.
-        """
+        most N with -N/2 <= first <= N/2, on every axis of the grid (N, L),
+        bin m at frequency bin_frequencies(m, N, L) + shift.  Profiles are
+        evaluated on per-axis boxes holding their supports, SAMPLE_PAIRS
+        (window, bin) pairs at a time.  Returns ((bins, samples, offsets),
+        total): window ks[i] holds the fft-layout positions bins[offsets[i]:
+        offsets[i + 1]] in ascending m (flat order on two axes); total is the
+        lattice sum on all N^n bins, added in summed order."""
         N, L = grid
         n, r0 = self.n, self.r0
-        freq = freq_axis(N, L) + shift
-        coords = freq if n == 1 else freq_grid(n, N, L).reshape(N ** n, n) + shift
-        total = np.zeros(N ** n)
-        wanted, rows = set(ks), []
+        ks, summed = set(ks), list(summed)
+        wanted = np.array([k in ks for k in summed], dtype=bool)
+        centers, boxes = [], []
         for k in summed:
             yk, yn, inner, outer = self.window_radii(k)
             # xi = y t(|y|) with t increasing, so each axis of the support lies
             # between the ball's axis extremes times t at the extremes of |y|
             t_in = inner / (yn - r0) if yn > r0 else 1.0
             t_out = outer / (yn + r0)
-            axes = []
             for c in np.atleast_1d(yk).tolist():
                 lo = min((c - r0) * t_in, (c - r0) * t_out)
                 hi = max((c + r0) * t_in, (c + r0) * t_out)
                 first, last = grid_span(lo - shift, hi - shift, N, L)
-                m = np.sort((np.arange(first, last + 1) - span[0]) % N + span[0])
-                at = m[m <= span[1]] % N
-                # bins outside [lo, hi] hold no support; a far one could overflow the warp
-                axes.append(at[(freq[at] >= lo) & (freq[at] <= hi)])
-            bins = axes[0] if n == 1 else np.add.outer(axes[0] * N, axes[1]).ravel()
-            vals = bump_profile(_distances(warp(coords[bins], self.alpha, n), yk), self.delta, r0)
+                first = min(first, N)
+                # the box's bins from span[0] on, then those below, listed as m + N
+                start = max(first, span[0])
+                ahead = max(min(last, span[1]) - start + 1, 0)
+                behind = max(min(last, span[0] - 1, span[1] - N) - first + 1, 0)
+                boxes.append((lo, hi, start, ahead + behind, ahead, first - start - ahead))
+            centers.append(yk)
+        centers, boxes = np.array(centers), np.array(boxes).reshape(-1, n, 6).T
+        bounds, boxes = boxes[:2], boxes[2:].astype(np.intp)  # bins and counts: exact floats
+        sizes = np.prod(boxes[1], axis=0)
+        ends = np.cumsum(sizes)
+        total = np.zeros(N ** n)
+        rows, a = [(np.zeros(0, np.intp), np.zeros(0), np.zeros(0, np.intp))], 0
+        while a < len(summed):
+            b = max(int(np.searchsorted(ends, ends[a] - sizes[a] + SAMPLE_PAIRS, "right")), a + 1)
+            win = np.repeat(np.arange(a, b), sizes[a:b])
+            (lo, hi), (start, size, ahead, jump) = (np.repeat(x[..., a:b], sizes[a:b], axis=-1)
+                                                    for x in (bounds, boxes))
+            # the pair's bin on each axis of its window's box, the first axis slowest
+            i = np.arange(ends[a] - sizes[a], ends[b - 1]) - (ends - sizes)[win]
+            i = np.stack(np.divmod(i, size[1])) if n > 1 else i
+            m = start + i + (i >= ahead) * jump
+            xi = bin_frequencies(m, N, L) + shift
+            # bins outside [lo, hi] hold no support, and a far one could overflow the warp
+            keep = np.logical_and.reduce((xi >= lo) & (xi <= hi))
+            win, xi = win[keep], xi.compress(keep, axis=1)
+            bins = np.ravel_multi_index(m % N, (N,) * n)[keep]
+            vals = bump_profile(_distances(warp(xi[0] if n == 1 else xi.T, self.alpha, n),
+                                           centers[win]), self.delta, r0)
             keep = vals > 0.0
-            bins, vals = bins[keep], vals[keep]
-            total[bins] += vals
-            if k in wanted:
-                rows.append((bins, vals))
-        offsets = np.concatenate(([0], np.cumsum([b.size for b, _ in rows], dtype=np.intp)))
-        bins = np.concatenate([b for b, _ in rows] or [np.zeros(0, np.intp)])
-        samples = np.concatenate([v for _, v in rows] or [np.zeros(0)]) / total[bins]
-        return (bins, samples, offsets), total
+            np.add.at(total, bins[keep], vals[keep])
+            keep &= wanted[win]
+            rows.append((bins[keep], vals[keep],
+                         np.bincount(win[keep] - a, minlength=b - a)[wanted[a:b]]))
+            a = b
+        bins, samples, counts = (np.concatenate(x) for x in zip(*rows))
+        return (bins, samples / total[bins], np.concatenate(([0], np.cumsum(counts)))), total
 
 
 def _signed_unwarp(y: float, alpha: float) -> float:
@@ -574,6 +594,11 @@ def freq_axis(N: int, L: float) -> np.ndarray:
     return np.fft.fftfreq(N, d=L / N)
 
 
+def bin_frequencies(m, N: int, L: float) -> np.ndarray:
+    """freq_axis(N, L)[m % N] of signed bins m, bit for bit, by fftfreq's formula."""
+    return np.asarray(m) * (1.0 / (N * (L / N)))
+
+
 def grid_span(lo: float, hi: float, N: int, L: float) -> tuple:
     """Signed bins (first, last) of the grid (N, L) holding [lo, hi], with one
     more on each side, inside the Nyquist band -N/2 <= m < N/2."""
@@ -583,10 +608,7 @@ def grid_span(lo: float, hi: float, N: int, L: float) -> tuple:
 def freq_grid(n: int, N: int, L: float):
     """Frequency coordinates in fft layout; (N,) for n=1, (N,N,2) for n=2."""
     ax = freq_axis(N, L)
-    if n == 1:
-        return ax
-    gx, gy = np.meshgrid(ax, ax, indexing="ij")
-    return np.stack([gx, gy], axis=-1)
+    return ax if n == 1 else np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
 
 
 def freq_radius(n: int, N: int, L: float) -> np.ndarray:

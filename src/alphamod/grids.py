@@ -401,9 +401,10 @@ def bump_train(xi: np.ndarray, bumps, pitch: float, frac: float) -> np.ndarray:
     total = np.zeros(xi.shape, dtype=complex)
     for (center, scale), x0 in zip(bumps, ranks * pitch):
         u = np.abs(xi - center) / scale
-        w_hat = bump_profile(u, _WITNESS_PLATEAU_FRACTION * frac, frac).astype(complex)
-        w_hat *= np.exp(-2j * np.pi * xi * x0)
-        total += w_hat
+        at = np.flatnonzero(u < frac)  # elsewhere a signed zero, which adds nothing
+        w_hat = bump_profile(u[at], _WITNESS_PLATEAU_FRACTION * frac, frac).astype(complex)
+        w_hat *= np.exp(-2j * np.pi * xi[at] * x0)
+        total[at] += w_hat
     return total
 
 

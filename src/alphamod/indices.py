@@ -62,9 +62,7 @@ def as_scalar(value) -> Scalar:
     """
     if isinstance(value, str):
         return _text_scalar(value)
-    if isinstance(value, (int, Fraction)):
-        return value
-    if isinstance(value, float):
+    if isinstance(value, (int, Fraction, float)):
         return value
     raise ParameterError(f"cannot interpret {value!r} as a scalar")
 

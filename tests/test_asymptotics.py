@@ -1,5 +1,7 @@
 """Operator-norm lower bounds, growth-rate fits, and consistency checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -398,6 +400,25 @@ class TestLabGeometry:
                            match=r"^declared band limit \S+ exceeds safe radius 1\.0$"):
             asymptotics._bump_ratio(k, 0.5, k, src, tgt, grid, short)
         assert asymptotics._bump_ratio(k, 0.5, k, src, tgt, grid, radii) > 0
+
+
+class TestPackedWindowSegments:
+    # signed segments, the whole grid both ways, segments that wrap past
+    # N/2 (500 to 530, 505 to 512, 0 to 1023), a Nyquist edge alone, and a
+    # segment listed from N/2
+    @pytest.mark.parametrize("span", [(-40, 25), (0, 1023), (-512, 511), (500, 530),
+                                      (505, 512), (-512, -480), (511, 511), (512, 520)])
+    @pytest.mark.parametrize("shift", [0.0, 17.25])
+    def test_windows_meet_the_segment_of_the_axis(self, span, shift):
+        # _packed_windows reads the segment's extremes off its two ends; the
+        # windows it picks are those the extremes of the whole segment give
+        N, L = grid = (1024, 8.0)
+        xi = freq_axis(N, L)[np.arange(span[0], span[1] + 1) % N] + shift
+        cov = asymptotics.lab_covering(0.5)
+        y_lo, y_hi = covering.warp(np.array([xi.min(), xi.max()]), 0.5) + [-cov.r0, cov.r0]
+        meeting = [l for l in range(math.floor(y_lo) - 1, math.ceil(y_hi) + 2)
+                   if y_lo < cov.lattice_image(l) < y_hi]
+        assert asymptotics._packed_windows(0.5, grid, span, shift)[0] == meeting
 
 
 class TestMonteCarlo:

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from alphamod import covering
 from alphamod.cli import EXIT_INTERNAL, main
 from alphamod.covering import (
     CoveringSpec,
@@ -14,6 +15,7 @@ from alphamod.covering import (
     Partition,
     PartitionMember,
     ball_geometry,
+    bin_frequencies,
     bump_profile,
     build_partition,
     covering_for,
@@ -688,6 +690,108 @@ class TestPointwiseWindows:
         assert bins.tolist() == [0] and samples.tolist() == [1.0]
         assert offsets.tolist() == [0, 1, 1]
         assert np.count_nonzero(total) == 1
+
+
+class TestBinFrequencies:
+    """Frequencies of signed bins by fftfreq's own formula equal the
+    fft-layout axis bit for bit, so no caller needs to build the axis."""
+
+    @pytest.mark.parametrize("L", [61.38107416879879, 1e-300, 8.0])
+    def test_equal_the_axis(self, L):
+        for N in [2 ** e for e in range(1, 17)]:
+            axis = freq_axis(N, L)
+            # every signed bin, from the Nyquist edge -N/2 up to N/2 - 1
+            m = np.arange(-(N // 2), N // 2)
+            assert bin_frequencies(m, N, L).tobytes() == axis[m % N].tobytes()
+            for edge in (-(N // 2), N // 2 - 1):
+                assert bin_frequencies(edge, N, L) == axis[edge % N]
+            # the whole grid as the span (0, N - 1) of the spread witness lists it
+            p = np.arange(N)
+            signed = np.where(p < N // 2, p, p - N)
+            assert bin_frequencies(signed, N, L).tobytes() == axis.tobytes()
+
+
+def segment_reference(cov, ks, grid, span, shift=0.0):
+    """Dense rows of the one-dimensional windows ks on the bins of span,
+    each evaluated on its own by one_window_reference."""
+    N, L = grid
+    at = np.arange(span[0], span[1] + 1) % N
+    xi = freq_axis(N, L)[at] + shift
+    rows = np.zeros((len(ks), N))
+    for row, k in zip(rows, ks):
+        row[at] = one_window_reference(cov, k, xi)
+    return rows
+
+
+class TestSamplerSegments:
+    """Covering.sample_windows against the dense one-window reference on
+    segments and whole grids, and against itself under any chunk cap."""
+
+    def test_windows_missing_the_segment_are_empty(self):
+        # signed bins 300 to 500 of (2048, 8) lie at 37.5 to 62.5: windows
+        # 15 to 23 meet them; -20, 0 and 3 lie below, 25 beyond, and the
+        # boxes of 90 and 10^6 lie beyond the Nyquist band (first > last)
+        cov = covering_for(CoveringSpec(alpha=0.25, n=1))
+        grid, span = (2048, 8.0), (300, 500)
+        ks = [-20, 0, 3, 15, 20, 25, 90, 10 ** 6]
+        summed = sorted(set(range(-25, 40)).union(ks))
+        assert grid_span(*cov.support_interval(90), *grid)[0] > 1023
+        packed, total = cov.sample_windows(ks, summed, grid, span)
+        rows = unpack(packed, grid[0])
+        assert np.array_equal(rows, segment_reference(cov, ks, grid, span))
+        sizes = np.diff(packed[2]).tolist()
+        assert [k for k, size in zip(ks, sizes) if size] == [15, 20]
+        assert np.count_nonzero(total[np.arange(-1024, 300) % 2048]) == 0
+
+    @pytest.mark.parametrize("span", [(0, 2047), (-1024, 1023)])
+    @pytest.mark.parametrize("alpha, shift", [(0.0, -21.7), (0.5, 0.0), (0.75, 5.05)])
+    def test_whole_grid_spans(self, span, alpha, shift):
+        # the whole grid, in fft layout (the spread witness's span) or in
+        # signed order, shifted so that window boxes straddle bin 0
+        cov = covering_for(CoveringSpec(alpha=alpha, n=1))
+        grid = (2048, 16.0)
+        y = warp(freq_axis(*grid) + shift, alpha, 1)
+        summed = list(range(math.floor(y.min() - cov.r0) - 1, math.ceil(y.max() + cov.r0) + 2))
+        ks = summed[1::2]
+        packed, _ = cov.sample_windows(ks, summed, grid, span, shift)
+        assert np.array_equal(unpack(packed, 2048), segment_reference(cov, ks, grid, span, shift))
+        bins, _, offsets = packed
+        order = bins if span[0] == 0 else signed_bins(bins, 2048)
+        assert all(np.all(np.diff(order[lo:hi]) > 0) for lo, hi in zip(offsets[:-1], offsets[1:]))
+
+    @pytest.mark.parametrize("cap", [1, 3, 200])
+    def test_chunk_cap_keeps_bits(self, monkeypatch, cap):
+        # the pairs of consecutive windows are evaluated SAMPLE_PAIRS at a
+        # time; a window never splits, so any cap gives the same bits
+        cases = [(CoveringSpec(alpha=0.0, n=1), 4096, 2.0),
+                 (CoveringSpec(alpha=0.5, n=2), 64, 1.0),
+                 (CoveringSpec(alpha=0.0, n=2), 32, 1.0)]
+        want = [build_partition(*case) for case in cases]
+        cov = covering_for(CoveringSpec(alpha=0.5, n=1))
+        sweep = ((0, 1, 2, 3), range(-2, 6), (2048, 32.0), (0, 2047), 4.75)
+        sweep_want = cov.sample_windows(*sweep)
+        monkeypatch.setattr(covering, "SAMPLE_PAIRS", cap)
+        # each pass takes the frequencies of its pairs' bins once
+        passes = []
+        monkeypatch.setattr(covering, "bin_frequencies",
+                            lambda m, N, L: passes.append(m.shape[-1]) or bin_frequencies(m, N, L))
+        for (spec, N, L), part in zip(cases, want):
+            passes.clear()
+            got = build_partition(spec, N, L)
+            for name in ("idx", "values", "offsets"):
+                assert getattr(got, name).tobytes() == getattr(part, name).tobytes(), name
+            # under a cap of one pair, each window with a bin is a pass of its own
+            assert len(passes) >= (len(part.members) if cap == 1 else 2)
+        (bins, samples, offsets), total = cov.sample_windows(*sweep)
+        for a, b in zip((bins, samples, offsets, total), (*sweep_want[0], sweep_want[1])):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("alpha, grid", [(0.0, (32, 1.0)), (0.25, (32, 1.0))])
+    def test_two_dim_under_a_small_cap(self, monkeypatch, alpha, grid):
+        # 2-D boxes are products of their axes' bins, the first axis slowest
+        monkeypatch.setattr(covering, "SAMPLE_PAIRS", 7)
+        _assert_same_build(CoveringSpec(alpha=alpha, n=2), *grid,
+                           lambda spec, N, L: _positive_bins(_reference_build_2d(spec, N, L)))
 
 
 class TestHighAlpha:

@@ -12,6 +12,7 @@ from alphamod.covering import (
     Partition,
     PartitionMember,
     ball_geometry,
+    bump_profile,
     build_partition,
     freq_axis,
     freq_radius,
@@ -19,6 +20,7 @@ from alphamod.covering import (
 )
 from alphamod.errors import DomainError, ParameterError, TruncationError
 from alphamod.grids import (
+    _WITNESS_PLATEAU_FRACTION,
     BLOCK_POINTS,
     GridFunction,
     box_apply,
@@ -773,6 +775,39 @@ class TestWitnessSpread:
         res = space_norm(F, sp(0.5, 1.0, 0.0, 0.0), part0)
         per_term = sum(lp_quasinorm(witness_bump(l, 0.0, part0), 0.5) for l in members)
         assert res.value == pytest.approx(per_term, rel=0.02)
+
+
+def dense_bump_train(xi, bumps, pitch, frac):
+    """bump_train with every bump evaluated, and added, on every frequency."""
+    ranks = np.arange(len(bumps), dtype=float) - (len(bumps) - 1) / 2.0
+    total = np.zeros(xi.shape, dtype=complex)
+    for (center, scale), x0 in zip(bumps, ranks * pitch):
+        u = np.abs(xi - center) / scale
+        w_hat = bump_profile(u, _WITNESS_PLATEAU_FRACTION * frac, frac).astype(complex)
+        w_hat *= np.exp(-2j * np.pi * xi * x0)
+        total += w_hat
+    return total
+
+
+class TestBumpTrain:
+    # frequencies 5.3 to 69.3 in fft layout: the bumps at 40 and 40.6
+    # overlap, the one at 69.2 leaves the grid, the one at 300 misses it
+    XI = freq_axis(4096, 64.0) + 37.3
+    BUMPS = [(40.0, 1.0), (40.6, 1.5), (12.25, 0.8), (69.2, 2.0), (300.0, 1.0)]
+
+    @pytest.mark.parametrize("pitch", [0.0, 3.7, 41.0])
+    def test_support_only_equals_dense_bit_for_bit(self, pitch):
+        for bumps in (self.BUMPS, self.BUMPS[:2], self.BUMPS[3:4]):
+            got = bump_train(self.XI, bumps, pitch, 0.5)
+            want = dense_bump_train(self.XI, bumps, pitch, 0.5)
+            # as integers, so that a -0.0 where the dense train holds +0.0 counts
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_bins_outside_every_support_hold_positive_zero(self):
+        got = bump_train(self.XI, self.BUMPS, 3.7, 0.5)
+        outside = np.all([np.abs(self.XI - c) / s >= 0.5 for c, s in self.BUMPS], axis=0)
+        assert 0 < np.count_nonzero(~outside) < outside.size
+        assert not got[outside].view(np.uint64).any()
 
 
 class TestIO:

@@ -6,7 +6,7 @@ Prints one line per named output of the checkout at ROOT: the exit code and
 the sha256 of stdout and stderr of each README command-line example and of
 a set of command lines that end in exit codes 2, 3 and 4 (plus the files the
 examples write), then two library checks, the per-window ``space_norm`` pieces
-at p = 2, 1 and inf on a 1-D and a 2-D partition, the packed samples of three
+at p = 2, 1 and inf on a 1-D and a 2-D partition, the packed samples of nine
 partitions and of the windows one bump band and one spread grid hand to the
 norm kernel, the witness bumps' support fraction on six coverings, the grids
 ``plan_grid`` sizes for the ``lab_sweep`` growth fixtures, the witness samples
@@ -215,11 +215,19 @@ def norm_lines(mods: dict) -> list:
 
 
 # (name, spec keywords, N, L) of the partition samples lines: the README
-# covering example, the 2-D one and the --k-max 20 one of COMMANDS
+# covering example, the 2-D one and the --k-max 20 one of COMMANDS, then the
+# five partitions of the norm_batch workload (bench/workloads.py; its 2-D one
+# is the "2d" one again) and a 2-D partition at alpha 0
 SAMPLED_PARTITIONS = [
     ("readme", dict(alpha=0.5), 4096, 8.0),
     ("2d", dict(alpha=0.5, n=2), 64, 1.0),
     ("k-max-20", dict(alpha=1 / 3, c_small=0.3, c_big=0.7, k_max=20), 1024, 8.0),
+    ("norm-batch-0", dict(alpha=0.0), 4096, 2.0),
+    ("norm-batch-1/4", dict(alpha=0.25), 4096, 2.0),
+    ("norm-batch-1/2", dict(alpha=0.5), 4096, 2.0),
+    ("norm-batch-1", dict(alpha=1.0), 4096, 2.0),
+    ("norm-batch-2d-1/2", dict(alpha=0.5, n=2), 64, 1.0),
+    ("2d-alpha-0", dict(alpha=0.0, n=2), 64, 2.0),
 ]
 
 
