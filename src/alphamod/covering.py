@@ -520,11 +520,6 @@ class PartitionMember:
         self.idx.setflags(write=False)
         self.values.setflags(write=False)
 
-    def dense(self, size: int) -> np.ndarray:
-        out = np.zeros(size)
-        out[self.idx] = self.values
-        return out
-
 
 @dataclass
 class Partition:
@@ -759,8 +754,13 @@ def verify_partition(partition: Partition) -> PartitionReport:
         out = _distances(xi[m.idx], m.center) > m.support_radius + 1.5 * dxi
         if out.any():
             leakage = max(leakage, float(np.max(np.abs(m.values[out]))))
-        dense = np.fft.fftshift(m.dense(N ** n).reshape((N,) * n))
-        grad = max(float(np.abs(np.diff(dense, axis=a)).max()) for a in range(n)) / dxi
+        # the fftshift-ed samples on the member's box, padded by one zero bin
+        # where the grid goes on (no wrap at +-N/2): every nonzero step is in it
+        at = (np.array(np.unravel_index(m.idx, (N,) * n)) + N // 2) % N
+        lo = np.maximum(at.min(axis=1, initial=N) - 1, 0)
+        box = np.zeros(np.maximum(np.minimum(at.max(axis=1, initial=0) + 2, N) - lo, 2))
+        box[tuple(at - lo[:, None])] = m.values
+        grad = max(float(np.abs(np.diff(box, axis=a)).max()) for a in range(n)) / dxi
         grad_bounds.append(grad * m.scale)
     grad_bounds = np.asarray(grad_bounds)
     positive = grad_bounds[grad_bounds > 1e-12]

@@ -34,6 +34,13 @@ from alphamod.covering import (
 from alphamod.errors import CoveringError, DomainError, GeometryError, ParameterError
 
 
+def _dense(member, size):
+    """A member's samples on the whole flat grid of size points."""
+    out = np.zeros(size)
+    out[member.idx] = member.values
+    return out
+
+
 class TestBallGeometry:
     def test_origin_window(self):
         for alpha in [0.0, 0.25, 0.5, 0.75]:
@@ -406,7 +413,7 @@ class TestAlphaPartition:
                 continue
             m = part.member(k)
             lo, hi = cov.plateau_interval(k)
-            dense = m.dense(part.N)
+            dense = _dense(m, part.N)
             inside = (xi > lo + 1e-9) & (xi < hi - 1e-9)
             assert inside.any()
             assert np.min(dense[inside]) >= 1.0 - 1e-13
@@ -430,7 +437,7 @@ class TestDyadicPartition:
             if m.index == 0:
                 continue
             j = m.index
-            dense = m.dense(part.N)
+            dense = _dense(m, part.N)
             inner = xi <= (4.0 / 3.0) * 2.0 ** (j - 1)
             outer = xi >= 1.5 * 2.0 ** j
             assert np.max(np.abs(dense[inner])) == 0.0
@@ -458,6 +465,82 @@ class TestGradientScaling:
         ks = [abs(m.index) for m in part.members]
         assert max(ks) >= 64
         assert report.gradient_ratio <= 4.0
+
+
+def _dense_report(partition):
+    """verify_partition as it was with each member's gradient bound taken on
+    its dense fftshift-ed array over the whole grid, kept as the reference
+    the report must match bit for bit."""
+    n, N = partition.n, partition.N
+    xi = freq_grid(n, N, partition.L)
+    xi = xi.reshape(N ** n, *xi.shape[n:])
+    safe = covering.freq_radius(n, N, partition.L) < partition.safe_radius
+    total = np.zeros(N ** n)
+    overlap = np.zeros(N ** n, dtype=int)
+    leakage = 0.0
+    grad_bounds = []
+    dxi = 1.0 / partition.L
+    for m in partition.members:
+        total[m.idx] += m.values
+        overlap[m.idx] += m.values > 1e-14
+        out = covering._distances(xi[m.idx], m.center) > m.support_radius + 1.5 * dxi
+        if out.any():
+            leakage = max(leakage, float(np.max(np.abs(m.values[out]))))
+        dense = np.fft.fftshift(_dense(m, N ** n).reshape((N,) * n))
+        grad = max(float(np.abs(np.diff(dense, axis=a)).max()) for a in range(n)) / dxi
+        grad_bounds.append(grad * m.scale)
+    grad_bounds = np.asarray(grad_bounds)
+    positive = grad_bounds[grad_bounds > 1e-12]
+    ratio = float(positive.max() / positive.min()) if positive.size else 1.0
+    return covering.PartitionReport(
+        sum_deviation=float(np.max(np.abs(total[safe] - 1.0))) if safe.any() else math.inf,
+        max_overlap=int(overlap.max()),
+        support_leakage=leakage,
+        gradient_bound=float(grad_bounds.max()),
+        gradient_ratio=ratio,
+        safe_radius=partition.safe_radius,
+        member_count=len(partition.members),
+    )
+
+
+def _edge_partition(n, N, L):
+    """Hand-made members at the +-N/2 edge of the fftshift-ed grid: one
+    across it, one at its top, one at its bottom, one inside, one empty."""
+    h = N // 2
+    rng = np.random.default_rng(N + n)
+    axis_bins = ([h - 2, h - 1, h, h + 1], [h - 3, h - 2, h - 1], [h, h + 1], [1, 2, 3], [])
+    members = []
+    for i, bins in enumerate(axis_bins):
+        bins = np.asarray(bins, dtype=np.intp)
+        if n == 2:
+            # the same bins on the first axis, beside the edge on the second
+            bins = (bins[:, None] * N + np.array([h - 1, h, 0])).reshape(-1)
+        members.append(PartitionMember(
+            index=i, center=0.0 if n == 1 else np.zeros(2), scale=1.0 + i,
+            support_radius=N / L, idx=bins, values=rng.random(bins.size) + 0.1,
+            grid_N=N, grid_L=L))
+    return Partition(alpha=0.0, n=n, N=N, L=L, safe_radius=1.0, members=members)
+
+
+class TestPartitionReport:
+    @pytest.mark.parametrize("spec, N, L", [
+        (CoveringSpec(alpha=0.0, n=1), 2 ** 10, 4.0),
+        (CoveringSpec(alpha=0.5, n=1), 2 ** 12, 8.0),
+        (CoveringSpec(alpha=1.0, n=1), 2 ** 10, 4.0),
+        (CoveringSpec(alpha=0.5, n=2), 64, 1.0),
+        (CoveringSpec(alpha=0.0, n=2), 64, 2.0),
+        (CoveringSpec(alpha=1.0, n=2), 64, 1.0),
+    ])
+    def test_matches_dense_report(self, spec, N, L):
+        part = build_partition(spec, N=N, L=L)
+        assert verify_partition(part) == _dense_report(part)
+
+    @pytest.mark.parametrize("n, N", [(1, 16), (1, 2 ** 10), (2, 16), (2, 64)])
+    def test_members_at_the_grid_edge(self, n, N):
+        part = _edge_partition(n, N, 4.0)
+        report = verify_partition(part)
+        assert report == _dense_report(part)
+        assert report.gradient_bound > 0.0
 
 
 class TestNeighborSets:
@@ -537,7 +620,7 @@ def _gamma_members_sampled(anchor, partition_fine, partition_coarse, absorbed=Fa
     absorption means the anchor window equals 1 on every bin of the fine
     window's support."""
     mk = partition_coarse.member(anchor)
-    anchor_vals = mk.dense(partition_coarse.N ** partition_coarse.n)
+    anchor_vals = _dense(mk, partition_coarse.N ** partition_coarse.n)
     members = set()
     for m in partition_fine.members:
         local = anchor_vals[m.idx]

@@ -22,6 +22,7 @@ from alphamod.errors import DomainError, ParameterError, TruncationError
 from alphamod.grids import (
     _WITNESS_PLATEAU_FRACTION,
     BLOCK_POINTS,
+    NEGLIGIBLE,
     GridFunction,
     box_apply,
     builtin_function,
@@ -420,7 +421,7 @@ def _reference_pieces(spec, rp, partition):
     pieces = {}
     for m in partition.members:
         local = spec[m.idx]
-        if peak == 0.0 or m.idx.size == 0 or float(np.abs(local).max()) <= 1e-16 * peak:
+        if peak == 0.0 or m.idx.size == 0 or float(np.abs(local).max()) <= NEGLIGIBLE * peak:
             pieces[m.index] = 0.0
             continue
         out = np.zeros_like(spec)
@@ -440,7 +441,7 @@ def _reference_coarse_norm(f, s, rp, rq, partition1, partition2, round_trip=Fals
     outer = {}
     for m in partition2.members:
         local = spec[m.idx]
-        if peak == 0.0 or float(np.abs(local).max()) <= 1e-16 * peak:
+        if peak == 0.0 or float(np.abs(local).max()) <= NEGLIGIBLE * peak:
             outer[m.index] = 0.0
             continue
         if round_trip:
@@ -670,6 +671,62 @@ class TestPlancherelPieces:
         bins, offsets = np.arange(8), np.array([0, 4, 8])
         with pytest.raises(DomainError, match="non-finite"):
             window_lp_norms(spec, bins, np.ones(8), offsets, grid, Fraction(1, 2))
+
+
+def _tile_windows(n, N, width):
+    """Packed windows that tile the fft-layout grid in blocks of width bins
+    per axis, with unit samples."""
+    blocks = np.arange(N ** n).reshape((N // width, width) * n)
+    if n == 2:
+        blocks = blocks.transpose(0, 2, 1, 3)
+    bins = blocks.reshape(-1, width ** n)
+    offsets = np.arange(bins.shape[0] + 1) * width ** n
+    return bins.reshape(-1), np.ones(bins.size), offsets
+
+
+class TestNegligibleFloor:
+    """A window is live when its largest magnitude exceeds NEGLIGIBLE of the
+    spectrum's peak, a floor above an FFT round trip's noise."""
+
+    @pytest.mark.parametrize("grid", _PLANCHEREL_GRIDS)
+    @pytest.mark.parametrize("rp", _RPS)
+    def test_boundary(self, grid, rp):
+        n, N, L = grid
+        eps = np.finfo(float).eps
+        assert NEGLIGIBLE == 8 * eps
+        rng = np.random.default_rng(11)
+        spec = 0.5 * rng.random(N ** n) + 0.25j * rng.random(N ** n)
+        spec[0] = 1.0
+        # windows: live, then pieces whose maximum is 4, 8 and 16 eps of the peak
+        bins = np.arange(32)
+        for w, share in enumerate((4, 8, 16), start=1):
+            spec[bins[8 * w:8 * w + 8]] = share * eps * np.linspace(0.5, 1.0, 8)
+        offsets = np.arange(0, 33, 8)
+        got = window_lp_norms(spec, bins, np.ones(bins.size), offsets, grid, rp)
+        assert got[0] > 0.0
+        assert got[1:3].tolist() == [0.0, 0.0]
+        assert got[3] > 0.0
+
+    @pytest.mark.parametrize("n, N", [(1, 2 ** 12), (1, 2 ** 16), (2, 64), (2, 512)])
+    @pytest.mark.parametrize("share", [0.2, 0.6])
+    def test_separates_round_trip_noise(self, n, N, share):
+        """Windows wholly beyond a round trip's declared band hold only
+        noise and are 0; every window above 1e-12 of the peak is measured."""
+        L = 4.0
+        radius = share * N / (2 * L)
+        f = random_band_limited(n, N, L, radius, np.random.default_rng(N + n))
+        spec = spectrum(f)
+        bins, samples, offsets = _tile_windows(n, N, 16 if n == 1 else 8)
+        rho = freq_radius(n, N, L)[bins]
+        beyond = np.minimum.reduceat(rho, offsets[:-1]) > radius
+        strong = (np.maximum.reduceat(np.abs(spec[bins]), offsets[:-1])
+                  > 1e-12 * np.abs(spec).max())
+        assert beyond.any() and strong.any()
+        # the transforms of the p != 2 kernel only on the small grids
+        for rp in (Fraction(1, 2), 1) if N ** n <= 2 ** 12 else (Fraction(1, 2),):
+            got = window_lp_norms(spec, bins, samples, offsets, (n, N, L), rp)
+            assert np.all(got[beyond] == 0.0)
+            assert np.all(got[strong] > 0.0)
 
 
 def _band_mass_fraction_outside(f, radius):

@@ -12,7 +12,8 @@ norm kernel, the witness bumps' support fraction on six coverings, the grids
 ``plan_grid`` sizes for the ``lab_sweep`` growth fixtures, the witness samples
 and Monte Carlo estimates of those fixtures (floats in hex, so a rounding
 change shows which window or witness moved), and one round of each benchmark
-workload in ``ROOT/bench/workloads.py`` at seeds 41 and 3.  Two checkouts
+workload in ``ROOT/bench/workloads.py`` at seeds 41 and 3, with each
+``norm_batch`` op's value in hex, one line per partition.  Two checkouts
 whose outputs agree print the same lines, so a refactor is checked with
 
     diff <(python tools/output_hashes.py OLD) <(python tools/output_hashes.py NEW)
@@ -339,6 +340,20 @@ def sweep_lines(mods: dict) -> list:
     return lines
 
 
+def norm_value_lines(work, seed: int) -> list:
+    """One line per partition (or coarse pair) of a norm_batch round: each
+    op's value in hex, named by its place in the round and its exponents, so
+    a rounding change shows which norms moved."""
+    alphas = {id(part): alpha for (alpha, _), part in work.partitions.items()}
+    groups = {}
+    for i, ((kind, f, params, parts), value) in enumerate(zip(work.ops, work.first)):
+        key = f"{kind} alpha={','.join(alphas[id(part)] for part in parts)} n={f.n}"
+        groups.setdefault(key, []).append(
+            f"op{i}(rp={params.rp},rq={params.rq},s={params.s})={canon(value)}")
+    return [f"workload norm_batch seed={seed} values {key} {' '.join(values)}"
+            for key, values in groups.items()]
+
+
 def workload_lines(mods: dict) -> list:
     import workloads
 
@@ -350,6 +365,8 @@ def workload_lines(mods: dict) -> list:
             work.run_round(errors)
             lines.append(f"workload {name} seed={seed} ops={len(work.first)} "
                          f"errors={len(errors)} results={sha(canon(work.first).encode())}")
+            if name == "norm_batch":
+                lines += norm_value_lines(work, seed)
     return lines
 
 
